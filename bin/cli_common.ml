@@ -17,45 +17,31 @@ let scale ?(default = 0.5) ?(doc = "Run-length scale.") () =
 let seed ?(default = 1) ?(doc = "Workload seed.") () =
   Arg.(value & opt int default & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let seeds ?(default = 50) ?(doc = "Number of seeds to sweep.") () =
-  Arg.(value & opt int default & info [ "seeds" ] ~docv:"N" ~doc)
+(* A sweep over zero seeds verifies nothing, so it must not pass: N < 1
+   is a usage error (exit 124), like an unknown --protocol name. *)
+let seeds ?(default = 50) ?(doc = "Number of seeds to sweep (at least 1).") () =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 1 ->
+        Error (`Msg (Printf.sprintf "%d seeds would verify nothing (need N >= 1)" n))
+    | result -> result
+  in
+  let count = Arg.conv (parse, Arg.conv_printer Arg.int) in
+  Arg.(value & opt count default & info [ "seeds" ] ~docv:"N" ~doc)
 
 (* Workload selection: the [--workload NAME[:k=v,...]] spec grammar over
-   the Workload registry, with [--app NAME] kept as a warning-emitting
-   alias for one release.  Parsing to a Workload.packed happens in
+   the Workload registry.  Parsing to a Workload.packed happens in
    [resolve_workload] (not an Arg.conv) so unknown names and keys exit 2
    with a suggestion list, mirroring the --protocol loud-rejection
    contract. *)
 let workload ?(default = "em3d") () =
-  let workload_arg =
-    let doc =
-      Printf.sprintf
-        "Workload spec: $(i,NAME) or $(i,NAME:key=value,...).  Names: %s.  Unknown \
-         names and keys are rejected (exit 2)."
-        (String.concat ", " (Pcc.Workload.names ()))
-    in
-    Arg.(value & opt (some string) None & info [ "w"; "workload" ] ~docv:"SPEC" ~doc)
+  let doc =
+    Printf.sprintf
+      "Workload spec: $(i,NAME) or $(i,NAME:key=value,...).  Names: %s.  Unknown \
+       names and keys are rejected (exit 2)."
+      (String.concat ", " (Pcc.Workload.names ()))
   in
-  let app_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "a"; "app" ] ~docv:"APP"
-          ~doc:"Deprecated alias for $(b,--workload); emits a warning.")
-  in
-  let combine w a =
-    match (w, a) with
-    | Some spec, None -> spec
-    | Some spec, Some _ ->
-        prerr_endline "warning: --app ignored because --workload was given";
-        spec
-    | None, Some name ->
-        prerr_endline
-          "warning: --app is deprecated; use --workload NAME[:key=value,...] instead";
-        name
-    | None, None -> default
-  in
-  Term.(const combine $ workload_arg $ app_arg)
+  Arg.(value & opt string default & info [ "w"; "workload" ] ~docv:"SPEC" ~doc)
 
 let resolve_workload ~tool ~nodes ~scale ~seed spec =
   match Pcc.Workload.of_spec ~nodes ~scale ~seed spec with

@@ -100,36 +100,12 @@ let flight_arg =
            workload: print the retained event window as a timeline and write \
            $(docv).perfetto.json next to it.")
 
-(* --workload with --bench kept as this tool's historical alias. *)
 let workload_arg =
-  let workload =
-    let doc =
-      Printf.sprintf
-        "Workload spec: $(i,NAME) or $(i,NAME:key=value,...).  Names: %s."
-        (String.concat ", " (Pcc.Workload.names ()))
-    in
-    Arg.(value & opt (some string) None & info [ "w"; "workload" ] ~docv:"SPEC" ~doc)
+  let doc =
+    Printf.sprintf "Workload spec: $(i,NAME) or $(i,NAME:key=value,...).  Names: %s."
+      (String.concat ", " (Pcc.Workload.names ()))
   in
-  let bench =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "b"; "bench" ] ~docv:"NAME"
-          ~doc:"Deprecated alias for $(b,--workload); emits a warning.")
-  in
-  let combine w b =
-    match (w, b) with
-    | Some spec, None -> spec
-    | Some spec, Some _ ->
-        prerr_endline "warning: --bench ignored because --workload was given";
-        spec
-    | None, Some spec ->
-        prerr_endline
-          "warning: --bench is deprecated; use --workload NAME[:key=value,...] instead";
-        spec
-    | None, None -> "prodcons"
-  in
-  Term.(const combine $ workload $ bench)
+  Arg.(value & opt string "prodcons" & info [ "w"; "workload" ] ~docv:"SPEC" ~doc)
 
 let sample_arg =
   Arg.(

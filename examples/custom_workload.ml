@@ -59,13 +59,14 @@ let () =
   let programs = Gen.programs spec in
   Format.printf "Custom pipeline workload: %d nodes, %d memory accesses@.@." nodes
     (Gen.total_ops programs);
-  (* Save/reload through the text trace format, proving the run is
+  (* Save/reload through the binary trace format, proving the run is
      reproducible from the serialized trace alone. *)
+  let path = Filename.temp_file "pipeline" ".pcct" in
+  Btrace.write ~path programs;
   let roundtripped =
-    match Workload_trace.of_string (Workload_trace.to_string programs) with
-    | Ok p -> p
-    | Error message -> failwith message
+    match Btrace.read ~path with Ok p -> p | Error message -> failwith message
   in
+  Sys.remove path;
   assert (roundtripped = programs);
   let base = System.run ~config:(Config.base ~nodes ()) ~programs () in
   List.iter

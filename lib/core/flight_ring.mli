@@ -19,9 +19,9 @@ val create : ?capacity:int -> unit -> t
 (** {2 Event kinds}
 
     Each recorded event is [(time, kind, detail, src, dst, arg, line)]
-    packed into four ints.  [kind] says which hook fired; [detail]
-    refines it (message class, operation kind, crash phase or note
-    code); [line] is the affected line or [-1]. *)
+    packed into four ints.  [kind] says which {!Probe} emitter wrote
+    it; [detail] refines it (message class, operation kind, crash phase
+    or note code); [line] is the affected line or [-1]. *)
 
 val k_send : int  (** coherence message sent; detail = message class *)
 

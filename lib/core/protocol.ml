@@ -22,17 +22,6 @@ module type S = sig
 
   val busy : node -> bool
 
-  val set_trace : node -> (time:int -> dst:Types.node_id -> Message.t -> unit) -> unit
-
-  val on_commit : node -> (Node.commit_event -> unit) -> unit
-
-  val on_issue :
-    node -> (time:int -> kind:Types.op_kind -> line:Types.line -> unit) -> unit
-
-  val on_recv : node -> (time:int -> src:Types.node_id -> Message.t -> unit) -> unit
-
-  val on_retransmit : node -> (time:int -> dst:Types.node_id -> unit) -> unit
-
   val l2_state : node -> Types.line -> L2.entry option
 
   val iter_l2 : node -> (Types.line -> L2.entry -> unit) -> unit
@@ -72,16 +61,6 @@ module Adaptive_backend = struct
   let submit = Node.submit
 
   let busy = Node.busy
-
-  let set_trace = Node.set_trace
-
-  let on_commit = Node.on_commit
-
-  let on_issue = Node.on_issue
-
-  let on_recv = Node.on_recv
-
-  let on_retransmit = Node.on_retransmit
 
   let l2_state = Node.l2_state
 

@@ -1,22 +1,26 @@
 (** First-class coherence-protocol backends.
 
     A backend packages the whole per-node coherence state machine —
-    state encoding, message handlers, miss classification, and the
-    statistics/observer hooks — behind one module interface so
-    {!System} (and everything above it: oracle, chaos, telemetry,
-    flight recorder, metrics registry) is backend-agnostic.
+    state encoding, message handlers, miss classification — behind one
+    module interface so {!System} (and everything above it: oracle,
+    chaos, telemetry, flight recorder, metrics registry) is
+    backend-agnostic.  Backends report what happens through the
+    machine-wide {!Probe}, not through hooks of their own.
 
     Two backends exist: the paper's adaptive directory protocol
     ({!Adaptive_backend}, delegating to {!Node}) and the bus-snooping
     MSI/MESI machine ({!Snoop.Backend}).  [Config.protocol] selects
     which one {!System.create} instantiates.
 
-    To add a backend: implement {!S} (create your nodes around the
-    shared [sim]/[network]/[stats]/[memcheck]/[flight] plumbing the way
-    {!Snoop.create_machine} does), give it a {!kind} constructor, and
+    To add a backend: implement {!S} and build your nodes around the
+    shared probe — emit every send, issue and commit through {!Probe},
+    and take hub links from {!Probe.hub_link}, which emits deliveries
+    and retransmissions — over the shared
+    [sim]/[network]/[stats]/[memcheck] plumbing, the way
+    {!Snoop.create_machine} does.  Give it a {!kind} constructor and
     teach {!System.create} to pack it.  Everything that only consumes
-    {!S} — the run loop, watchdog, gauges, observer fan-outs, stall
-    reports — comes for free. *)
+    {!S} or the probe — the run loop, watchdog, gauges, observers,
+    flight recorder, stall reports — comes for free. *)
 
 type kind = Types.protocol = Adaptive | Msi | Mesi
 
@@ -46,19 +50,6 @@ module type S = sig
       per node ([Invalid_argument] otherwise). *)
 
   val busy : node -> bool
-
-  (** {2 Observer hooks (oracle, telemetry, trace tooling)} *)
-
-  val set_trace : node -> (time:int -> dst:Types.node_id -> Message.t -> unit) -> unit
-
-  val on_commit : node -> (Node.commit_event -> unit) -> unit
-
-  val on_issue :
-    node -> (time:int -> kind:Types.op_kind -> line:Types.line -> unit) -> unit
-
-  val on_recv : node -> (time:int -> src:Types.node_id -> Message.t -> unit) -> unit
-
-  val on_retransmit : node -> (time:int -> dst:Types.node_id -> unit) -> unit
 
   (** {2 State encoding and stall inspection} *)
 

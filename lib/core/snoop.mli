@@ -1,7 +1,7 @@
 (** Bus-snooping MSI/MESI backend.
 
     The classic broadcast protocols, modeled on the same plumbing as the
-    adaptive machine (hub links, network, flight recorder, statistics)
+    adaptive machine (hub links, network, event probe, statistics)
     so every observability and fault-injection layer applies unchanged.
 
     The shared bus is a machine-wide round-robin arbiter: one
@@ -33,8 +33,7 @@
 type t
 
 val create_machine :
-  ?alive_view:bool array ->
-  ?flight:Flight_ring.t ->
+  probe:Probe.t ->
   config:Config.t ->
   sim:Pcc_engine.Simulator.t ->
   network:Message.t Hub_link.frame Pcc_interconnect.Network.t ->
@@ -47,6 +46,7 @@ val create_machine :
 (** Build all [config.nodes] nodes around one shared bus.  Unlike the
     adaptive backend the nodes cannot be created independently — the
     arbiter is machine-wide state — hence the whole-machine constructor.
-    [config.protocol] must be [Msi] or [Mesi]. *)
+    Every protocol event is emitted through [probe].  [config.protocol]
+    must be [Msi] or [Mesi]. *)
 
 module Backend : Protocol.S with type node = t

@@ -12,7 +12,7 @@ type barrier = {
   mutable waiters : (Types.node_id * (unit -> unit)) list;
 }
 
-type crash_phase = Crash_down | Crash_detected | Crash_restarted
+type crash_phase = Probe.crash_phase = Crash_down | Crash_detected | Crash_restarted
 
 type t = {
   config : Config.t;
@@ -33,17 +33,13 @@ type t = {
       (* crash mode only: a restarted node re-arriving at a barrier that
          released during its outage must pass, not re-open it *)
   mutable dead_forever : Nodeset.t;  (* crashed with no restart scheduled *)
-  mutable crash_hooks :
-    (time:int -> node:Types.node_id -> phase:crash_phase -> unit) list;
   mutable last_finish : int;
   mutable commits : int;  (* watchdog progress counter (hardened mode) *)
-  flight : Flight_ring.t;  (* always-on machine-wide flight recorder *)
+  probe : Probe.t;  (* the machine-wide event stream and flight recorder *)
   mutable flight_dump : string option;
       (* armed post-mortem path: stalls, crashes, and uncaught exceptions
          (oracle violations included) dump the flight window here *)
 }
-
-let on_crash t f = t.crash_hooks <- t.crash_hooks @ [ f ]
 
 let adaptive_exn t =
   match t.adaptive_nodes with
@@ -53,7 +49,7 @@ let adaptive_exn t =
         (Printf.sprintf "System: adaptive backend required (running %s)"
            (Config.describe t.config))
 
-let flight t = t.flight
+let flight t = Probe.flight t.probe
 
 let arm_flight_dump t ~path = t.flight_dump <- Some path
 
@@ -66,31 +62,14 @@ let dump_flight t ~reason =
   match t.flight_dump with
   | None -> None
   | Some path ->
-      Flight_ring.write_dump t.flight ~path ~reason ~time:(Sim.now t.sim)
+      Flight_ring.write_dump (flight t) ~path ~reason ~time:(Sim.now t.sim)
         ~nodes:t.config.nodes ~config:(Config.describe t.config);
       Some path
-
-let crash_phase_code = function
-  | Crash_down -> 0
-  | Crash_detected -> 1
-  | Crash_restarted -> 2
 
 let crash_phase_name = function
   | Crash_down -> "down"
   | Crash_detected -> "detected"
   | Crash_restarted -> "restarted"
-
-let fire_crash_hooks t ~node ~phase =
-  let time = Sim.now t.sim in
-  Flight_ring.record t.flight ~time ~kind:Flight_ring.k_crash
-    ~detail:(crash_phase_code phase) ~src:node ~dst:node ~line:(-1) ~arg:0;
-  (match
-     dump_flight t
-       ~reason:
-         (Printf.sprintf "crash: node %d %s" node (crash_phase_name phase))
-   with
-  | Some _ | None -> ());
-  List.iter (fun f -> f ~time ~node ~phase) t.crash_hooks
 
 (* A barrier releases every processor [barrier_latency] cycles after the
    last arrival, modeling the synchronization round trip without adding
@@ -160,7 +139,7 @@ let schedule_crashes t (crashes : Fault.crash list) =
           Network.mark_down t.network ~node:victim;
           Node.crash nodes.(victim);
           t.commits <- t.commits + 1;
-          fire_crash_hooks t ~node:victim ~phase:Crash_down);
+          Probe.crash t.probe ~node:victim ~phase:Crash_down);
       Sim.schedule t.sim ~delay:detect_at (fun () ->
           let will_restart = c.restart_after <> None in
           Network.bump_epoch t.network ~node:victim;
@@ -171,7 +150,7 @@ let schedule_crashes t (crashes : Fault.crash list) =
             t.dead_forever <- Nodeset.add t.dead_forever victim;
           barrier_forget t ~dead:victim;
           t.commits <- t.commits + 1;
-          fire_crash_hooks t ~node:victim ~phase:Crash_detected);
+          Probe.crash t.probe ~node:victim ~phase:Crash_detected);
       match c.restart_after with
       | None -> ()
       | Some d ->
@@ -181,7 +160,7 @@ let schedule_crashes t (crashes : Fault.crash list) =
               Network.mark_up t.network ~node:victim;
               Node.restart nodes.(victim);
               t.commits <- t.commits + 1;
-              fire_crash_hooks t ~node:victim ~phase:Crash_restarted))
+              Probe.crash t.probe ~node:victim ~phase:Crash_restarted))
     crashes
 
 let create ~(config : Config.t) () =
@@ -197,13 +176,13 @@ let create ~(config : Config.t) () =
   in
   let rng = Pcc_engine.Rng.create ~seed:config.seed in
   let alive_view = Array.make config.nodes true in
-  let flight = Flight_ring.create () in
+  let probe = Probe.create ~sim ~stats in
   let backend, adaptive_nodes =
     match config.protocol with
     | Types.Adaptive ->
         let nodes =
           Array.init config.nodes (fun id ->
-              Node.create ~alive_view ~flight ~config ~sim ~network ~id ~stats
+              Node.create ~alive_view ~probe ~config ~sim ~network ~id ~stats
                 ~memcheck ~next_version
                 ~rng:(Pcc_engine.Rng.split rng)
                 ())
@@ -211,8 +190,8 @@ let create ~(config : Config.t) () =
         (Protocol.Pack ((module Protocol.Adaptive_backend), nodes), Some nodes)
     | Types.Msi | Types.Mesi ->
         let nodes =
-          Snoop.create_machine ~alive_view ~flight ~config ~sim ~network ~stats
-            ~memcheck ~next_version ~rng ()
+          Snoop.create_machine ~probe ~config ~sim ~network ~stats ~memcheck
+            ~next_version ~rng ()
         in
         (Protocol.Pack ((module Snoop.Backend), nodes), None)
   in
@@ -229,13 +208,20 @@ let create ~(config : Config.t) () =
       barriers = Hashtbl.create 16;
       barriers_released = Hashtbl.create 16;
       dead_forever = Nodeset.empty;
-      crash_hooks = [];
       last_finish = 0;
       commits = 0;
-      flight;
+      probe;
       flight_dump = None;
     }
   in
+  (* the post-mortem is the first crash observer: it captures the window
+     before any other observer reacts to the crash *)
+  Probe.on_crash probe (fun ~time:_ ~node ~phase ->
+      match
+        dump_flight t
+          ~reason:(Printf.sprintf "crash: node %d %s" node (crash_phase_name phase))
+      with
+      | Some _ | None -> ());
   (match config.net_faults with
   | Some { Fault.crashes = _ :: _ as crashes; _ } -> schedule_crashes t crashes
   | Some _ | None -> ());
@@ -246,23 +232,15 @@ let create ~(config : Config.t) () =
     Sim.set_watchdog sim ~interval:config.watchdog_interval
       ~stall_checks:config.watchdog_checks
       ~progress:(fun () -> t.commits);
-    match t.backend with
-    | Protocol.Pack ((module P), arr) ->
-        Array.iter
-          (fun node ->
-            P.on_commit node (fun (e : Node.commit_event) ->
-                t.commits <- t.commits + 1;
-                Sim.record sim ~time:e.c_time
-                  (Printf.sprintf "node %d commits %s" e.c_node
-                     (match e.c_kind with
-                     | Types.Load -> "load"
-                     | Types.Store -> "store")));
-            P.set_trace node (fun ~time ~dst msg ->
-                if Sim.trace_enabled sim then
-                  Sim.record sim ~time
-                    (Printf.sprintf "%d->%d %s" (P.id node) dst
-                       (Message.class_name msg))))
-          arr
+    Probe.on_commit probe (fun (e : Probe.commit_event) ->
+        t.commits <- t.commits + 1;
+        Sim.record sim ~time:e.c_time
+          (Printf.sprintf "node %d commits %s" e.c_node
+             (match e.c_kind with Types.Load -> "load" | Types.Store -> "store")));
+    Probe.on_send probe (fun ~time ~src ~dst msg ->
+        if Sim.trace_enabled sim then
+          Sim.record sim ~time
+            (Printf.sprintf "%d->%d %s" src dst (Message.class_name msg)))
   end;
   t
 
@@ -307,50 +285,22 @@ let check_invariants t =
   match t.backend with Protocol.Pack ((module P), arr) -> P.check_invariants arr
 
 (* Observer hooks for online auditors (the coherence oracle): post-event
-   callbacks from the simulator, plus machine-wide commit and message
-   streams assembled from the per-node hooks. *)
+   callbacks from the simulator, plus the machine-wide probe's event
+   streams. *)
 
 let on_post_event t f = Sim.on_event t.sim f
 
-let on_commit t f =
-  match t.backend with
-  | Protocol.Pack ((module P), arr) -> Array.iter (fun node -> P.on_commit node f) arr
+let on_commit t f = Probe.on_commit t.probe f
 
-let on_message t f =
-  match t.backend with
-  | Protocol.Pack ((module P), arr) ->
-      Array.iter
-        (fun node ->
-          let src = P.id node in
-          P.set_trace node (fun ~time ~dst msg -> f ~time ~src ~dst msg))
-        arr
+let on_message t f = Probe.on_send t.probe f
 
-let on_issue t f =
-  match t.backend with
-  | Protocol.Pack ((module P), arr) ->
-      Array.iter
-        (fun node ->
-          let n = P.id node in
-          P.on_issue node (fun ~time ~kind ~line -> f ~time ~node:n ~kind ~line))
-        arr
+let on_issue t f = Probe.on_issue t.probe f
 
-let on_recv t f =
-  match t.backend with
-  | Protocol.Pack ((module P), arr) ->
-      Array.iter
-        (fun node ->
-          let dst = P.id node in
-          P.on_recv node (fun ~time ~src msg -> f ~time ~src ~dst msg))
-        arr
+let on_recv t f = Probe.on_recv t.probe f
 
-let on_retransmit t f =
-  match t.backend with
-  | Protocol.Pack ((module P), arr) ->
-      Array.iter
-        (fun node ->
-          let src = P.id node in
-          P.on_retransmit node (fun ~time ~dst -> f ~time ~src ~dst))
-        arr
+let on_retransmit t f = Probe.on_retransmit t.probe f
+
+let on_crash t f = Probe.on_crash t.probe f
 
 (* Live occupancy gauges for telemetry samplers. *)
 

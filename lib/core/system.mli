@@ -85,14 +85,19 @@ val arm_flight_dump : t -> path:string -> unit
 
 val flight_dump_path : t -> string option
 
-(** {2 Observer hooks (online auditors)} *)
+(** {2 Observer hooks (online auditors)}
+
+    Every channel but {!on_post_event} subscribes to the machine's
+    {!Probe}: observers receive each event right after the flight ring
+    records it, for either backend, and observers on one channel run in
+    registration order. *)
 
 val on_post_event : t -> (unit -> unit) -> unit
 (** Called after every executed simulator event (see
     {!Pcc_engine.Simulator.on_event}).  Observers must not schedule
     events or mutate protocol state; raising aborts the run. *)
 
-val on_commit : t -> (Node.commit_event -> unit) -> unit
+val on_commit : t -> (Probe.commit_event -> unit) -> unit
 (** Observe every committed load/store on every node. *)
 
 val on_message :
@@ -125,7 +130,7 @@ val on_retransmit :
     down), [Crash_detected] after the configured detection delay (epoch
     bumped, machine-wide recovery sweep done), [Crash_restarted] when a
     scheduled restart re-admits the node cold. *)
-type crash_phase = Crash_down | Crash_detected | Crash_restarted
+type crash_phase = Probe.crash_phase = Crash_down | Crash_detected | Crash_restarted
 
 val on_crash :
   t -> (time:int -> node:Types.node_id -> phase:crash_phase -> unit) -> unit

@@ -222,7 +222,7 @@ let attach ?(ring_capacity = 64) ?(full_check_period = 10_000) sys =
       Trace.Ring.add t.ring
         (Trace.Msg { time; src; dst; cls = Message.class_name msg; line });
       Hashtbl.replace t.dirty line ());
-  System.on_commit sys (fun (c : Node.commit_event) ->
+  System.on_commit sys (fun (c : Probe.commit_event) ->
       Trace.Ring.add t.ring
         (Trace.Commit
            {

@@ -16,13 +16,13 @@ type report = {
 let run_generic ~sys ~config:_ ~programs desc =
   let order = Order.create ~keep_history:false () in
   System.on_commit sys (fun ev ->
-      match ev.Node.c_kind with
+      match ev.Probe.c_kind with
       | Types.Store ->
-          Order.record_store order ~node:ev.Node.c_node ~line:ev.Node.c_line
-            ~value:ev.Node.c_value ~time:ev.Node.c_time
+          Order.record_store order ~node:ev.Probe.c_node ~line:ev.Probe.c_line
+            ~value:ev.Probe.c_value ~time:ev.Probe.c_time
       | Types.Load ->
-          Order.record_load order ~node:ev.Node.c_node ~line:ev.Node.c_line
-            ~value:ev.Node.c_value ~started:ev.Node.c_started ~time:ev.Node.c_time);
+          Order.record_load order ~node:ev.Probe.c_node ~line:ev.Probe.c_line
+            ~value:ev.Probe.c_value ~started:ev.Probe.c_started ~time:ev.Probe.c_time);
   match System.run_programs sys programs with
   | exception Order.Violation message ->
       {

@@ -35,6 +35,10 @@ module Run_export = Pcc_core.Run_export
 (** Individual node inspection (tests, tools). *)
 module Node = Pcc_core.Node
 
+(** The machine-wide protocol event stream behind {!System}'s observer
+    hooks (commit events, crash phases). *)
+module Probe = Pcc_core.Probe
+
 (** Sharing-vector sets. *)
 module Nodeset = Pcc_core.Nodeset
 
@@ -104,9 +108,6 @@ module Op_stream = Pcc_core.Op_stream
 
 (** Build-your-own workload machinery. *)
 module Workload_gen = Pcc_workload.Gen
-
-(** Program-trace serialization: save and replay generated workloads. *)
-module Workload_trace = Pcc_workload.Trace
 
 (** Explicit-state model checker (§2.5). *)
 module Checker = Pcc_mcheck.Checker

@@ -204,7 +204,7 @@ let on_retransmit t ~time:_ ~src ~dst:_ =
   | Some o -> o.o_retransmits <- o.o_retransmits + 1
   | None -> ()
 
-let on_commit t (e : Node.commit_event) =
+let on_commit t (e : Probe.commit_event) =
   match t.open_spans.(e.c_node) with
   | Some o when o.o_line = e.c_line && o.o_kind = e.c_kind ->
       t.open_spans.(e.c_node) <- None;

@@ -1,9 +1,12 @@
-(* The observability layer's three contracts:
+(* The observability layer's contracts:
 
    - Flight recorder: the int-packed ring survives an encode → dump →
      JSON → decode round-trip bit-exactly, including wrap-around, and a
      truncated run leaves a well-formed dump behind that the decoder can
      fully render.
+   - One event stream: every [System.on_*] subscriber sees exactly the
+     events the flight ring records, in the same order, on either
+     backend, and observers on one channel fire in registration order.
    - Metrics registry: the export bytes are a pure function of the run
      results, so a --jobs 4 sweep produces the same JSON and OpenMetrics
      files as --jobs 1. *)
@@ -174,6 +177,112 @@ let test_stall_dump_wellformed () =
         (Astring_contains.contains text dump.Ring.d_reason));
   Sys.remove path
 
+(* ------------------------------------------------------------------ *)
+(* One event stream: subscribers vs the flight ring                    *)
+(* ------------------------------------------------------------------ *)
+
+module Fault = Pcc_interconnect.Fault
+
+let op_code = function Types.Load -> 0 | Types.Store -> 1
+
+let phase_code = function
+  | System.Crash_down -> 0
+  | System.Crash_detected -> 1
+  | System.Crash_restarted -> 2
+
+(* Subscribe to every channel the ring also records, logging each event
+   as the ring would pack it: (time, kind, detail, src, dst, line). *)
+let subscribe_all sys =
+  let log = ref [] in
+  let push e = log := e :: !log in
+  let msg kind ~time ~src ~dst m =
+    push (time, kind, Message.class_index m, src, dst, Message.line_of m)
+  in
+  System.on_message sys (msg Ring.k_send);
+  System.on_recv sys (msg Ring.k_recv);
+  System.on_issue sys (fun ~time ~node ~kind ~line ->
+      push (time, Ring.k_issue, op_code kind, node, node, line));
+  System.on_commit sys (fun (c : Probe.commit_event) ->
+      push (c.c_time, Ring.k_commit, op_code c.c_kind, c.c_node, c.c_node, c.c_line));
+  System.on_retransmit sys (fun ~time ~src ~dst ->
+      push (time, Ring.k_retransmit, 0, src, dst, -1));
+  System.on_crash sys (fun ~time ~node ~phase ->
+      push (time, Ring.k_crash, phase_code phase, node, node, -1));
+  log
+
+(* Two observers per channel: the second must always run right after
+   the first (the benchmark ledger's open/close pairs rely on this). *)
+let check_registration_order sys =
+  let pair name register =
+    let first_pending = ref false in
+    register (fun () ->
+        if !first_pending then Alcotest.failf "%s: first observer ran twice" name;
+        first_pending := true);
+    register (fun () ->
+        if not !first_pending then
+          Alcotest.failf "%s: second observer ran before the first" name;
+        first_pending := false)
+  in
+  pair "on_message" (fun f -> System.on_message sys (fun ~time:_ ~src:_ ~dst:_ _ -> f ()));
+  pair "on_recv" (fun f -> System.on_recv sys (fun ~time:_ ~src:_ ~dst:_ _ -> f ()));
+  pair "on_issue" (fun f ->
+      System.on_issue sys (fun ~time:_ ~node:_ ~kind:_ ~line:_ -> f ()));
+  pair "on_commit" (fun f -> System.on_commit sys (fun _ -> f ()));
+  pair "on_retransmit" (fun f ->
+      System.on_retransmit sys (fun ~time:_ ~src:_ ~dst:_ -> f ()));
+  pair "on_crash" (fun f -> System.on_crash sys (fun ~time:_ ~node:_ ~phase:_ -> f ()))
+
+let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: r -> drop (n - 1) r
+
+let one_stream ~name ~config ~bench ~expect =
+  let desc =
+    { Oracle.Trace.bench; config_name = "full"; nodes = 6; scale = 0.1; seed = 3;
+      fault = false }
+  in
+  let programs = Oracle.Trace.programs_of_desc desc in
+  let sys = System.create ~config () in
+  check_registration_order sys;
+  let log = subscribe_all sys in
+  let result = System.run_programs ~max_events:30_000_000 sys programs in
+  Alcotest.(check bool) (name ^ ": drained") true (result.System.stall = None);
+  let seen = List.rev !log in
+  (* the ring keeps the last [capacity] events, notes included; the
+     subscribers must have seen exactly the non-note part of that
+     window as their latest events *)
+  let window =
+    Ring.events (System.flight sys)
+    |> List.filter (fun e -> e.Ring.e_kind <> Ring.k_note)
+    |> List.map (fun e ->
+           (e.Ring.e_time, e.Ring.e_kind, e.Ring.e_detail, e.Ring.e_src, e.Ring.e_dst,
+            e.Ring.e_line))
+  in
+  Alcotest.(check bool) (name ^ ": window non-empty") true (window <> []);
+  let tail = drop (List.length seen - List.length window) seen in
+  Alcotest.(check bool) (name ^ ": subscribers match the ring") true (tail = window);
+  List.iter
+    (fun kind ->
+      if not (List.exists (fun (_, k, _, _, _, _) -> k = kind) seen) then
+        Alcotest.failf "%s: no %s event observed" name (Ring.kind_name kind))
+    expect
+
+let test_one_stream () =
+  let full = Config.full ~nodes:6 () in
+  one_stream ~name:"adaptive under drops+dups"
+    ~config:
+      (Config.with_faults full
+         { (Fault.storm ~seed:11) with Fault.delay = 0.0; reorder = 0.0 })
+    ~bench:"random"
+    ~expect:[ Ring.k_send; Ring.k_recv; Ring.k_issue; Ring.k_commit; Ring.k_retransmit ];
+  one_stream ~name:"mesi" ~config:(Config.snoop ~nodes:6 Types.Mesi ()) ~bench:"em3d"
+    ~expect:[ Ring.k_send; Ring.k_recv; Ring.k_issue; Ring.k_commit ];
+  let crashes =
+    Fault.crash_schedule ~seed:3 ~nodes:6 ~victims:1 ~window:(3_000, 9_000)
+      ~restart_after:5_000 ()
+  in
+  one_stream ~name:"crash and restart"
+    ~config:(Config.with_faults full { Fault.zero with Fault.crashes })
+    ~bench:"random" ~expect:[ Ring.k_send; Ring.k_crash ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest flight_roundtrip;
@@ -182,4 +291,6 @@ let suite =
       test_registry_jobs_determinism;
     Alcotest.test_case "forced stall writes a decodable flight dump" `Quick
       test_stall_dump_wellformed;
+    Alcotest.test_case "subscribers see the flight ring's event stream" `Quick
+      test_one_stream;
   ]
