@@ -8,8 +8,26 @@
 
 open Cmdliner
 
-let nodes ?(default = 16) ?(doc = "Number of nodes.") () =
-  Arg.(value & opt int default & info [ "n"; "nodes" ] ~docv:"N" ~doc)
+(* A bounded integer flag: a value outside [min..max] is a usage error
+   (exit 124) whose message is [reason n], never an assertion deep inside
+   the simulator or the model checker. *)
+let bounded_int ?(max = max_int) ~min reason =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < min || n > max -> Error (`Msg (reason n))
+    | result -> result
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
+(* Sharing vectors hold at most [Nodeset.max_nodes] nodes, and a machine
+   needs two to share anything; the model checker passes a smaller [max]. *)
+let nodes ?(default = 16) ?(max = Pcc.Nodeset.max_nodes) ?(doc = "Number of nodes.") () =
+  let count =
+    bounded_int ~min:2 ~max (fun n ->
+        Printf.sprintf "%d nodes is out of range (need 2..%d)" n max)
+  in
+  let doc = Printf.sprintf "%s  Between 2 and %d." doc max in
+  Arg.(value & opt count default & info [ "n"; "nodes" ] ~docv:"N" ~doc)
 
 let scale ?(default = 0.5) ?(doc = "Run-length scale.") () =
   Arg.(value & opt float default & info [ "s"; "scale" ] ~docv:"S" ~doc)
@@ -20,13 +38,9 @@ let seed ?(default = 1) ?(doc = "Workload seed.") () =
 (* A sweep over zero seeds verifies nothing, so it must not pass: N < 1
    is a usage error (exit 124), like an unknown --protocol name. *)
 let seeds ?(default = 50) ?(doc = "Number of seeds to sweep (at least 1).") () =
-  let parse s =
-    match Arg.conv_parser Arg.int s with
-    | Ok n when n < 1 ->
-        Error (`Msg (Printf.sprintf "%d seeds would verify nothing (need N >= 1)" n))
-    | result -> result
+  let count =
+    bounded_int ~min:1 (Printf.sprintf "%d seeds would verify nothing (need N >= 1)")
   in
-  let count = Arg.conv (parse, Arg.conv_printer Arg.int) in
   Arg.(value & opt count default & info [ "seeds" ] ~docv:"N" ~doc)
 
 (* Workload selection: the [--workload NAME[:k=v,...]] spec grammar over

@@ -66,6 +66,9 @@ let run_model_check protocol nodes lines ops workload delegation updates bug max
       | Error message ->
           prerr_endline message;
           1
+      | Ok _ when nodes > 5 ->
+          Printf.eprintf "pcc_check: the snooping model has 2..5 nodes, not %d\n" nodes;
+          2
       | Ok bug ->
           let params =
             {
@@ -148,12 +151,18 @@ let run litmus mutate protocol nodes lines ops workload delegation updates bug
     run_model_check protocol nodes lines ops workload delegation updates bug max_states
       jobs spill por metrics_path
 
-let nodes_arg = Cli_common.nodes ~default:3 ~doc:"Nodes in the model." ()
+(* the adaptive model canonicalizes over (nodes-1)! permutations, so it
+   stops at 7 nodes *)
+let nodes_arg = Cli_common.nodes ~default:3 ~max:7 ~doc:"Nodes in the model." ()
 
 let lines_arg =
+  let count =
+    Cli_common.bounded_int ~min:1
+      (Printf.sprintf "%d lines would check nothing (need N >= 1)")
+  in
   Arg.(
     value
-    & opt int 1
+    & opt count 1
     & info [ "lines" ] ~docv:"N"
         ~doc:
           "Independent cache lines in the model.  Lines multiply the state space; \

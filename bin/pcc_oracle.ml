@@ -115,8 +115,8 @@ let run_fault ~nodes ~scale ~trace =
         Oracle.Runner.save_artifact ~path:trace report;
         Printf.printf "fault caught on %s\n" (describe desc);
         List.iter (fun v -> Printf.printf "  %s\n" v) report.violations;
-        Printf.printf "  %d recent events in the trace; artifact: %s\n"
-          (List.length report.events) trace;
+        Printf.printf "  artifact: %s (flight window: pcc_trace --flight %s)\n" trace
+          trace;
         0
       end
   in
@@ -136,9 +136,13 @@ let run_replay ~max_lines ~path =
       end
       else begin
         List.iter (fun v -> Printf.printf "  %s\n" v) report.violations;
-        List.iter
-          (fun e -> Format.printf "  %a@." Oracle.Trace.pp_event e)
-          report.events;
+        Option.iter
+          (fun (d : Flight_ring.dump) ->
+            Printf.printf "last flight events before the failure:\n";
+            List.iter
+              (Format.printf "  %a@." Flight_ring.pp_event)
+              (Flight_ring.last 64 d.d_events))
+          report.flight;
         1
       end
 

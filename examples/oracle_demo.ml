@@ -35,9 +35,13 @@ let () =
       else begin
         Format.printf "caught at seed %d:@." seed;
         List.iter (Format.printf "  %s@.") report.violations;
-        Format.printf "last %d events before the violation:@."
-          (List.length report.events);
-        List.iter (Format.printf "  %a@." Oracle.Trace.pp_event) report.events
+        Option.iter
+          (fun (d : Pcc.Flight_ring.dump) ->
+            let recent = Pcc.Flight_ring.last 16 d.d_events in
+            Format.printf "last %d flight events before the violation:@."
+              (List.length recent);
+            List.iter (Format.printf "  %a@." Pcc.Flight_ring.pp_event) recent)
+          report.flight
       end
   in
   hunt 1

@@ -143,6 +143,71 @@ let fold_window t f acc =
 
 let events t = List.rev (fold_window t (fun acc e -> e :: acc) [])
 
+let last n events =
+  let skip = List.length events - n in
+  if skip <= 0 then events else List.filteri (fun i _ -> i >= skip) events
+
+(* ------------------------------------------------------------------ *)
+(* Rendering                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Lines render as index@home (the operand form the rest of the tooling
+   uses); -1 marks an event with no line. *)
+let line_str line =
+  if line < 0 then "-"
+  else
+    Printf.sprintf "%d@%d"
+      (Types.Layout.index_of_line line)
+      (Types.Layout.home_of_line line)
+
+let op_name = function 0 -> "load" | 1 -> "store" | d -> Printf.sprintf "op-%d" d
+
+let crash_phase_name = function
+  | 0 -> "down"
+  | 1 -> "detected"
+  | 2 -> "restarted"
+  | d -> Printf.sprintf "phase-%d" d
+
+let describe e =
+  let line = line_str e.e_line in
+  if e.e_kind = k_send || e.e_kind = k_recv then
+    Printf.sprintf "%s %s %d->%d line %s" (kind_name e.e_kind)
+      (Message.class_index_name e.e_detail)
+      e.e_src e.e_dst line
+  else if e.e_kind = k_retransmit then
+    Printf.sprintf "retransmit %d->%d" e.e_src e.e_dst
+  else if e.e_kind = k_issue then
+    Printf.sprintf "issue %s node %d line %s" (op_name e.e_detail) e.e_src line
+  else if e.e_kind = k_commit then
+    Printf.sprintf "commit %s node %d line %s = %d" (op_name e.e_detail) e.e_src
+      line e.e_arg
+  else if e.e_kind = k_crash then
+    Printf.sprintf "crash node %d %s" e.e_src (crash_phase_name e.e_detail)
+  else if e.e_kind = k_note then begin
+    let base =
+      Printf.sprintf "%s node %d line %s" (note_name e.e_detail) e.e_src line
+    in
+    if e.e_detail = n_dir_state then
+      Printf.sprintf "%s -> %s" base (dstate_name e.e_arg)
+    else if e.e_detail = n_timeout then
+      Printf.sprintf "%s (strike %d)" base e.e_arg
+    else if e.e_detail = n_delegate then
+      Printf.sprintf "%s (%d consumer%s this epoch)" base e.e_arg
+        (if e.e_arg = 1 then "" else "s")
+    else if e.e_detail = n_predictor then
+      Printf.sprintf "%s -> %s" base
+        (if e.e_arg = 1 then "producer-consumer" else "other")
+    else base
+  end
+  else Printf.sprintf "%s(%d) node %d line %s" (kind_name e.e_kind) e.e_detail
+         e.e_src line
+
+let pp_event ppf e = Format.fprintf ppf "[%8d] %s" e.e_time (describe e)
+
+(* ------------------------------------------------------------------ *)
+(* Post-mortem dumps                                                   *)
+(* ------------------------------------------------------------------ *)
+
 type dump = {
   d_reason : string;
   d_time : int;
@@ -153,32 +218,38 @@ type dump = {
   d_events : event list;
 }
 
-let dump_to_json t ~reason ~time ~nodes ~config =
-  let events =
-    fold_window t
-      (fun acc e ->
-        Jsonl.List
-          [
-            Jsonl.Int e.e_time;
-            Jsonl.Int (pack_code ~kind:e.e_kind ~detail:e.e_detail ~src:e.e_src ~dst:e.e_dst);
-            Jsonl.Int e.e_arg;
-            Jsonl.Int e.e_line;
-          ]
-        :: acc)
-      []
-    |> List.rev
+let snapshot t ~reason ~time ~nodes ~config =
+  {
+    d_reason = reason;
+    d_time = time;
+    d_nodes = nodes;
+    d_config = config;
+    d_recorded = t.head;
+    d_capacity = t.mask + 1;
+    d_events = events t;
+  }
+
+let dump_to_json d =
+  let event e =
+    Jsonl.List
+      [
+        Jsonl.Int e.e_time;
+        Jsonl.Int (pack_code ~kind:e.e_kind ~detail:e.e_detail ~src:e.e_src ~dst:e.e_dst);
+        Jsonl.Int e.e_arg;
+        Jsonl.Int e.e_line;
+      ]
   in
   Jsonl.Obj
     [
       ("kind", Jsonl.String "pcc-flight");
       ("version", Jsonl.Int 1);
-      ("reason", Jsonl.String reason);
-      ("time", Jsonl.Int time);
-      ("nodes", Jsonl.Int nodes);
-      ("config", Jsonl.String config);
-      ("recorded", Jsonl.Int t.head);
-      ("capacity", Jsonl.Int (t.mask + 1));
-      ("events", Jsonl.List events);
+      ("reason", Jsonl.String d.d_reason);
+      ("time", Jsonl.Int d.d_time);
+      ("nodes", Jsonl.Int d.d_nodes);
+      ("config", Jsonl.String d.d_config);
+      ("recorded", Jsonl.Int d.d_recorded);
+      ("capacity", Jsonl.Int d.d_capacity);
+      ("events", Jsonl.List (List.map event d.d_events));
     ]
 
 let dump_of_json json =
@@ -227,6 +298,5 @@ let dump_of_json json =
       d_events = List.rev events;
     }
 
-let write_dump t ~path ~reason ~time ~nodes ~config =
-  Pcc_stats.Atomic_file.write_string ~path
-    (Jsonl.to_string (dump_to_json t ~reason ~time ~nodes ~config) ^ "\n")
+let write_dump ~path d =
+  Pcc_stats.Atomic_file.write_string ~path (Jsonl.to_string (dump_to_json d) ^ "\n")

@@ -8,7 +8,11 @@
     violation, node crash, uncaught exception — the last window of
     events is dumped atomically as a JSON post-mortem artifact that
     [pcc_trace --flight] decodes into a timeline and a Perfetto
-    fragment (see {!Pcc_telemetry.Flight}). *)
+    fragment (see {!Pcc_telemetry.Flight}).
+
+    This ring is the machine's only recent-event window: stall reports
+    list its last 64 events, and oracle failure artifacts end with its
+    dump. *)
 
 type t
 
@@ -104,6 +108,27 @@ val events : t -> event list
 (** The retained window (last [min total capacity] events), oldest
     first — wrap-around is resolved here. *)
 
+val last : int -> event list -> event list
+(** [last n window] keeps the newest [n] events of an oldest-first
+    window, still oldest first (stall reports show the last 64). *)
+
+(** {2 Rendering} *)
+
+val describe : event -> string
+(** One human-readable line for one event (no timestamp), e.g.
+    ["send get-shared 3->0 line 5@0"] or ["dir-state node 0 line 5@0 -> Dele"]. *)
+
+val pp_event : Format.formatter -> event -> unit
+(** ["[%8d] %s"] — timestamp column plus {!describe}.  Stall reports,
+    oracle failures and [pcc_trace --flight] all print events this way. *)
+
+val line_str : int -> string
+(** A line as ["index@home"], or ["-"] for [-1]. *)
+
+val crash_phase_name : int -> string
+(** The [detail] of a [k_crash] event: ["down"], ["detected"] or
+    ["restarted"]. *)
+
 (** {2 Post-mortem dumps} *)
 
 type dump = {
@@ -116,12 +141,15 @@ type dump = {
   d_events : event list;  (** retained window, oldest first *)
 }
 
-val dump_to_json :
-  t -> reason:string -> time:int -> nodes:int -> config:string -> Pcc_stats.Jsonl.t
+val snapshot :
+  t -> reason:string -> time:int -> nodes:int -> config:string -> dump
+(** The retained window with its header, copied out of the ring. *)
+
+val dump_to_json : dump -> Pcc_stats.Jsonl.t
+(** The one-line ["pcc-flight"] object: post-mortem files and the last
+    line of an oracle failure artifact are both written with it. *)
 
 val dump_of_json : Pcc_stats.Jsonl.t -> (dump, string) result
 
-val write_dump :
-  t -> path:string -> reason:string -> time:int -> nodes:int -> config:string ->
-  unit
+val write_dump : path:string -> dump -> unit
 (** Atomic temp+rename write of {!dump_to_json} (one line). *)

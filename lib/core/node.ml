@@ -420,11 +420,6 @@ let force_fallback t line =
     (match t.consumer_table with
     | Some table -> Consumer.remove table line
     | None -> ());
-    if Sim.trace_enabled t.sim then
-      Sim.record t.sim ~time:(Sim.now t.sim)
-        (Printf.sprintf "node %d: line %d@%d falls back to base protocol" t.id
-           (Types.Layout.index_of_line line)
-           (Types.Layout.home_of_line line));
     match find_producer t line with
     | None -> ()
     | Some entry ->
@@ -1296,13 +1291,6 @@ let rec arm_txn_timeout t p ~delay =
           t.stats.txn_timeouts <- t.stats.txn_timeouts + 1;
           p.timeouts <- p.timeouts + 1;
           note t ~code:Flight_ring.n_timeout ~line:p.line ~arg:p.timeouts;
-          if Sim.trace_enabled t.sim then
-            Sim.record t.sim ~time:(Sim.now t.sim)
-              (Printf.sprintf "node %d: %s on line %d@%d timed out (strike %d)" t.id
-                 (match p.kind with Types.Load -> "load" | Types.Store -> "store")
-                 (Types.Layout.index_of_line p.line)
-                 (Types.Layout.home_of_line p.line)
-                 p.timeouts);
           note_strike t p.line;
           (if not p.have_data then start_attempt t p
            else if t.crashable && p.kind = Types.Store && p.acks_needed > 0 then

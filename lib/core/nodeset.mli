@@ -5,6 +5,9 @@
 
 type t
 
+val max_nodes : int
+(** Node ids range over [0 .. max_nodes - 1] (62 nodes). *)
+
 val empty : t
 
 val singleton : int -> t

@@ -62,8 +62,9 @@ let dump_flight t ~reason =
   match t.flight_dump with
   | None -> None
   | Some path ->
-      Flight_ring.write_dump (flight t) ~path ~reason ~time:(Sim.now t.sim)
-        ~nodes:t.config.nodes ~config:(Config.describe t.config);
+      Flight_ring.write_dump ~path
+        (Flight_ring.snapshot (flight t) ~reason ~time:(Sim.now t.sim)
+           ~nodes:t.config.nodes ~config:(Config.describe t.config));
       Some path
 
 let crash_phase_name = function
@@ -232,15 +233,7 @@ let create ~(config : Config.t) () =
     Sim.set_watchdog sim ~interval:config.watchdog_interval
       ~stall_checks:config.watchdog_checks
       ~progress:(fun () -> t.commits);
-    Probe.on_commit probe (fun (e : Probe.commit_event) ->
-        t.commits <- t.commits + 1;
-        Sim.record sim ~time:e.c_time
-          (Printf.sprintf "node %d commits %s" e.c_node
-             (match e.c_kind with Types.Load -> "load" | Types.Store -> "store")));
-    Probe.on_send probe (fun ~time ~src ~dst msg ->
-        if Sim.trace_enabled sim then
-          Sim.record sim ~time
-            (Printf.sprintf "%d->%d %s" src dst (Message.class_name msg)))
+    Probe.on_commit probe (fun _ -> t.commits <- t.commits + 1)
   end;
   t
 
@@ -358,7 +351,7 @@ type stall_report = {
   stall_outcome : Sim.outcome;
   stall_unfinished : int;
   stall_in_flight : in_flight list;
-  stall_recent : (int * string) list;
+  stall_recent : Flight_ring.event list;
   stall_flight_dump : string option;
 }
 
@@ -379,6 +372,9 @@ type result = {
   stall : stall_report option;
 }
 
+(* events a stall report lists: the newest slice of the flight window *)
+let stall_window = 64
+
 let pp_stall_report ppf r =
   Format.fprintf ppf "@[<v>run ended %a with %d processor(s) unfinished"
     Sim.pp_outcome r.stall_outcome r.stall_unfinished;
@@ -395,7 +391,7 @@ let pp_stall_report ppf r =
   | [] -> ()
   | events ->
       Format.fprintf ppf "@,recent events:";
-      List.iter (fun (time, label) -> Format.fprintf ppf "@,  [%d] %s" time label) events);
+      List.iter (fun e -> Format.fprintf ppf "@,  %a" Flight_ring.pp_event e) events);
   (match r.stall_flight_dump with
   | None -> ()
   | Some path ->
@@ -545,7 +541,7 @@ let run_stream ?max_events (t : t) (feed : Op_stream.t) =
                          stalled_timeouts = timeouts;
                        })
                      (P.pending_info node));
-          stall_recent = Sim.recent_events t.sim;
+          stall_recent = Flight_ring.last stall_window (Flight_ring.events (flight t));
         }
   in
   {

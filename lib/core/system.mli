@@ -187,9 +187,9 @@ type stall_report = {
   stall_outcome : Pcc_engine.Simulator.outcome;
   stall_unfinished : int;  (** processors that had not finished their program *)
   stall_in_flight : in_flight list;
-  stall_recent : (int * string) list;
-      (** bounded recent-event trace (time, label), oldest first; empty
-          unless the watchdog armed it (hardened mode) *)
+  stall_recent : Flight_ring.event list;
+      (** the last 64 events of the flight window ({!flight}), oldest
+          first, on every configuration *)
   stall_flight_dump : string option;
       (** where the flight-recorder post-mortem was written, when
           {!arm_flight_dump} armed one — the artifact to open first *)

@@ -61,29 +61,12 @@ val run : ?until:int -> ?max_events:int -> t -> outcome
     completes — and makes {!run} return {!Stalled} instead of hanging. *)
 
 val set_watchdog :
-  ?trace_capacity:int ->
-  t ->
-  interval:int ->
-  stall_checks:int ->
-  progress:(unit -> int) ->
-  unit
+  t -> interval:int -> stall_checks:int -> progress:(unit -> int) -> unit
 (** Every [interval] executed events the watchdog samples [progress] (any
     monotone counter of useful work, e.g. committed operations); after
     [stall_checks] consecutive samples without change, {!run} returns
-    {!Stalled}.  Also enables the bounded recent-event trace
-    ([trace_capacity] entries, default 64; [0] disables it). *)
-
-val clear_watchdog : t -> unit
-
-val trace_enabled : t -> bool
-
-val record : t -> time:int -> string -> unit
-(** Append a line to the bounded recent-event trace (no-op while the
-    trace is disabled).  Components log deliveries, commits, and
-    retransmissions here so a stall report can show what the machine was
-    doing when it stopped making progress. *)
-
-val recent_events : t -> (int * string) list
-(** The trace contents, oldest first, at most [trace_capacity] entries. *)
+    {!Stalled}.  The watchdog keeps no event history: what the machine
+    was doing is in the always-on flight ring
+    ([Pcc_core.Flight_ring]), which stall reports read. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -1,30 +1,24 @@
 open Pcc_core
 module Sim = Pcc_engine.Simulator
 
-exception
-  Violation of { message : string; time : int; events : Trace.event list }
+exception Violation of { message : string; time : int }
 
 type t = {
   sys : System.t;
   order : Order.t;
-  ring : Trace.Ring.t;
   dirty : (Types.line, unit) Hashtbl.t;
-  full_check_period : int;
   mutable events_count : int;
 }
+
+(* simulator events between full sweeps of every known line *)
+let sweep_interval = 10_000
 
 let describe_line line =
   Printf.sprintf "%d@%d" (Types.Layout.index_of_line line)
     (Types.Layout.home_of_line line)
 
 let raise_violation t message =
-  raise
-    (Violation
-       {
-         message;
-         time = Sim.now (System.sim t.sys);
-         events = Trace.Ring.to_list t.ring;
-       })
+  raise (Violation { message; time = Sim.now (System.sim t.sys) })
 
 (* ------------------------------------------------------------------ *)
 (* Per-line structural invariants                                      *)
@@ -204,35 +198,13 @@ let on_post_event t () =
     Hashtbl.reset t.dirty;
     check_lines t lines
   end;
-  if t.events_count mod t.full_check_period = 0 then check_all t
+  if t.events_count mod sweep_interval = 0 then check_all t
 
-let attach ?(ring_capacity = 64) ?(full_check_period = 10_000) sys =
-  let t =
-    {
-      sys;
-      order = Order.create ();
-      ring = Trace.Ring.create ~capacity:ring_capacity;
-      dirty = Hashtbl.create 64;
-      full_check_period;
-      events_count = 0;
-    }
-  in
-  System.on_message sys (fun ~time ~src ~dst msg ->
-      let line = Message.line_of msg in
-      Trace.Ring.add t.ring
-        (Trace.Msg { time; src; dst; cls = Message.class_name msg; line });
-      Hashtbl.replace t.dirty line ());
+let attach sys =
+  let t = { sys; order = Order.create (); dirty = Hashtbl.create 64; events_count = 0 } in
+  System.on_message sys (fun ~time:_ ~src:_ ~dst:_ msg ->
+      Hashtbl.replace t.dirty (Message.line_of msg) ());
   System.on_commit sys (fun (c : Probe.commit_event) ->
-      Trace.Ring.add t.ring
-        (Trace.Commit
-           {
-             time = c.c_time;
-             node = c.c_node;
-             kind = c.c_kind;
-             line = c.c_line;
-             value = c.c_value;
-             started = c.c_started;
-           });
       Hashtbl.replace t.dirty c.c_line ();
       try
         match c.c_kind with
@@ -255,7 +227,3 @@ let attach ?(ring_capacity = 64) ?(full_check_period = 10_000) sys =
   t
 
 let order t = t.order
-
-let events t = Trace.Ring.to_list t.ring
-
-let events_seen t = t.events_count

@@ -33,31 +33,24 @@
     and commit hooks mark the affected lines dirty, and the post-event
     hook checks only dirty lines (plus a periodic and final full sweep).
 
-    A violation raises {!Violation} out of the simulator's [run],
-    carrying a bounded ring of the most recent protocol events for the
-    failure artifact (see {!Trace}). *)
+    A violation raises {!Violation} out of the simulator's [run].  The
+    auditor keeps no event history of its own: what the machine was
+    doing is in the system's flight ring ({!Pcc_core.System.flight}),
+    which {!Runner} copies into the failure artifact. *)
 
 open Pcc_core
 
-exception
-  Violation of { message : string; time : int; events : Trace.event list }
+exception Violation of { message : string; time : int }
 
 type t
 
-val attach : ?ring_capacity:int -> ?full_check_period:int -> System.t -> t
-(** Register the auditor's observers on a freshly created system.
-    [ring_capacity] bounds the retained event window (default 64);
-    [full_check_period] is the event interval between full sweeps of all
-    known lines (default 10000). *)
+val attach : System.t -> t
+(** Register the auditor's observers on a freshly created system.  Every
+    10,000 simulator events it also sweeps all known lines. *)
 
 val order : t -> Order.t
 (** The per-address order checker fed by this auditor (for linearization
     after the run). *)
-
-val events : t -> Trace.event list
-(** The current event window, oldest first. *)
-
-val events_seen : t -> int
 
 val check_all : t -> unit
 (** Sweep every line known to any cache, directory, or producer table;

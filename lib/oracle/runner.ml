@@ -4,9 +4,25 @@ type report = {
   desc : Trace.run_desc;
   result : System.result option;
   violations : string list;
-  events : Trace.event list;
+  flight : Flight_ring.dump option;
   diff : Diff.outcome option;
 }
+
+(* A failing report carries the machine's flight window, headed by the
+   first violation and taken where the run stopped: an online violation
+   aborts the simulator, so nothing is recorded after it. *)
+let make_report ~sys ~desc ?result ?diff violations =
+  let flight =
+    match violations with
+    | [] -> None
+    | first :: _ ->
+        let config = System.config sys in
+        Some
+          (Flight_ring.snapshot (System.flight sys) ~reason:first
+             ~time:(Pcc_engine.Simulator.now (System.sim sys))
+             ~nodes:config.Config.nodes ~config:(Config.describe config))
+  in
+  { desc; result; violations; flight; diff }
 
 (* Backend-agnostic audit layer for the snooping protocols: the
    directory-state auditor and the model-checker replay read adaptive
@@ -25,13 +41,7 @@ let run_generic ~sys ~config:_ ~programs desc =
             ~value:ev.Probe.c_value ~started:ev.Probe.c_started ~time:ev.Probe.c_time);
   match System.run_programs sys programs with
   | exception Order.Violation message ->
-      {
-        desc;
-        result = None;
-        violations = [ "order: " ^ message ];
-        events = [];
-        diff = None;
-      }
+      make_report ~sys ~desc [ "order: " ^ message ]
   | result ->
       let violations = ref [] in
       if result.System.violations > 0 then
@@ -40,7 +50,7 @@ let run_generic ~sys ~config:_ ~programs desc =
       violations := !violations @ result.System.invariant_errors;
       violations :=
         !violations @ List.map (fun v -> "stats: " ^ v) (Stats_check.check sys result);
-      { desc; result = Some result; violations = !violations; events = []; diff = None }
+      make_report ~sys ~desc ~result !violations
 
 let run ?(diff = true) ?(max_lines = 400) (desc : Trace.run_desc) =
   let config = Trace.config_of_desc desc in
@@ -50,14 +60,8 @@ let run ?(diff = true) ?(max_lines = 400) (desc : Trace.run_desc) =
   else
   let audit = Audit.attach sys in
   match System.run_programs sys programs with
-  | exception Audit.Violation { message; time; events } ->
-      {
-        desc;
-        result = None;
-        violations = [ Printf.sprintf "t=%d: %s" time message ];
-        events;
-        diff = None;
-      }
+  | exception Audit.Violation { message; time } ->
+      make_report ~sys ~desc [ Printf.sprintf "t=%d: %s" time message ]
   | result ->
       let violations = ref [] in
       (try Audit.check_all audit
@@ -90,16 +94,10 @@ let run ?(diff = true) ?(max_lines = 400) (desc : Trace.run_desc) =
         end
         else None
       in
-      {
-        desc;
-        result = Some result;
-        violations = !violations;
-        events = (if !violations = [] then [] else Audit.events audit);
-        diff = diff_outcome;
-      }
+      make_report ~sys ~desc ~result ?diff:diff_outcome !violations
 
 let clean report = report.violations = []
 
 let save_artifact ~path report =
   Trace.write ~path ~desc:report.desc ~violations:report.violations
-    ~events:report.events
+    ~flight:report.flight

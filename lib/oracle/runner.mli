@@ -13,7 +13,9 @@ type report = {
   result : System.result option;
       (** [None] when the run aborted on an online violation *)
   violations : string list;  (** all layers' messages, empty = clean *)
-  events : Trace.event list;  (** recent-event window at failure (else []) *)
+  flight : Flight_ring.dump option;
+      (** the system's flight window where the run stopped, headed by the
+          first violation; [None] when clean *)
   diff : Diff.outcome option;
 }
 
@@ -25,5 +27,6 @@ val run : ?diff:bool -> ?max_lines:int -> Trace.run_desc -> report
 val clean : report -> bool
 
 val save_artifact : path:string -> report -> unit
-(** Write the failure trace (see {!Trace.write}); call only when
-    [not (clean report)]. *)
+(** Write the failure trace (see {!Trace.write}): header, violations,
+    then the flight window, which [pcc_trace --flight] decodes.  Call
+    only when [not (clean report)]. *)

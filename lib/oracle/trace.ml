@@ -10,47 +10,6 @@ type run_desc = {
   fault : bool;
 }
 
-type event =
-  | Msg of { time : int; src : int; dst : int; cls : string; line : Types.line }
-  | Commit of {
-      time : int;
-      node : int;
-      kind : Types.op_kind;
-      line : Types.line;
-      value : int;
-      started : int;
-    }
-
-let pp_line ppf line =
-  Format.fprintf ppf "%d@%d" (Types.Layout.index_of_line line)
-    (Types.Layout.home_of_line line)
-
-let pp_event ppf = function
-  | Msg { time; src; dst; cls; line } ->
-      Format.fprintf ppf "[%d] msg %s %d->%d line %a" time cls src dst pp_line line
-  | Commit { time; node; kind; line; value; started } ->
-      Format.fprintf ppf "[%d] commit n%d %s line %a value %d (started %d)" time node
-        (match kind with Types.Load -> "load" | Types.Store -> "store")
-        pp_line line value started
-
-module Ring = struct
-  type t = { slots : event option array; mutable next : int; mutable count : int }
-
-  let create ~capacity =
-    assert (capacity > 0);
-    { slots = Array.make capacity None; next = 0; count = 0 }
-
-  let add t event =
-    t.slots.(t.next) <- Some event;
-    t.next <- (t.next + 1) mod Array.length t.slots;
-    t.count <- min (t.count + 1) (Array.length t.slots)
-
-  let to_list t =
-    let capacity = Array.length t.slots in
-    let start = (t.next - t.count + capacity) mod capacity in
-    List.init t.count (fun i -> Option.get t.slots.((start + i) mod capacity))
-end
-
 (* ------------------------------------------------------------------ *)
 (* Descriptor -> system                                                *)
 (* ------------------------------------------------------------------ *)
@@ -96,49 +55,21 @@ let desc_to_json desc =
       ("fault", Jsonl.Bool desc.fault);
     ]
 
-let event_to_json = function
-  | Msg { time; src; dst; cls; line } ->
-      Jsonl.Obj
-        [
-          ("kind", Jsonl.String "event");
-          ("event", Jsonl.String "msg");
-          ("time", Jsonl.Int time);
-          ("src", Jsonl.Int src);
-          ("dst", Jsonl.Int dst);
-          ("class", Jsonl.String cls);
-          ("line", Jsonl.Int line);
-        ]
-  | Commit { time; node; kind; line; value; started } ->
-      Jsonl.Obj
-        [
-          ("kind", Jsonl.String "event");
-          ("event", Jsonl.String "commit");
-          ("time", Jsonl.Int time);
-          ("node", Jsonl.Int node);
-          ("op", Jsonl.String (match kind with Types.Load -> "load" | Types.Store -> "store"));
-          ("line", Jsonl.Int line);
-          ("value", Jsonl.Int value);
-          ("started", Jsonl.Int started);
-        ]
-
-let write ~path ~desc ~violations ~events =
+let write ~path ~desc ~violations ~flight =
   Pcc_stats.Atomic_file.write ~path
     (fun oc ->
-      output_string oc (Jsonl.to_string (desc_to_json desc));
-      output_char oc '\n';
+      let line json =
+        output_string oc (Jsonl.to_string json);
+        output_char oc '\n'
+      in
+      line (desc_to_json desc);
       List.iter
         (fun message ->
-          output_string oc
-            (Jsonl.to_string
-               (Jsonl.Obj
-                  [ ("kind", Jsonl.String "violation"); ("message", Jsonl.String message) ]));
-          output_char oc '\n')
+          line
+            (Jsonl.Obj
+               [ ("kind", Jsonl.String "violation"); ("message", Jsonl.String message) ]))
         violations;
-      List.iter
-        (fun event ->
-          output_string oc (Jsonl.to_string (event_to_json event));
-          output_char oc '\n')
-        events)
+      Option.iter (fun dump -> line (Flight_ring.dump_to_json dump)) flight)
 
 let read_desc ~path =
   match In_channel.with_open_text path In_channel.input_line with

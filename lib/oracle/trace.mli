@@ -2,12 +2,15 @@
 
     A violation is only useful if it can be reproduced, so the oracle's
     artifact is a {e run descriptor} — everything needed to regenerate the
-    exact workload and configuration — plus the violation messages and a
-    bounded window of the most recent protocol events for context.  The
-    file format is JSON Lines: a [kind = "run"] header object, one
-    [kind = "violation"] object per message, then [kind = "event"] objects
-    oldest-first.  Replaying means rebuilding the system from the header
-    and re-running with the oracle attached; the event log is for humans.
+    exact workload and configuration — plus the violation messages and the
+    machine's flight window at the failure for context.  The file format
+    is JSON Lines: a [kind = "run"] header object, one
+    [kind = "violation"] object per message, then one [kind = "pcc-flight"]
+    object written by {!Pcc_core.Flight_ring.dump_to_json} — the same
+    line a post-mortem dump file holds, so [pcc_trace --flight] decodes
+    the artifact.  Replaying means rebuilding the system from the header
+    and re-running with the oracle attached; the flight window is for
+    humans.
 
     Workloads are deterministic functions of (bench, nodes, scale, seed),
     so the descriptor fully pins the run. *)
@@ -25,31 +28,6 @@ type run_desc = {
   fault : bool;  (** inject the stale-update protocol fault (test-only) *)
 }
 
-type event =
-  | Msg of { time : int; src : int; dst : int; cls : string; line : Types.line }
-  | Commit of {
-      time : int;
-      node : int;
-      kind : Types.op_kind;
-      line : Types.line;
-      value : int;
-      started : int;
-    }
-
-val pp_event : Format.formatter -> event -> unit
-
-(** Bounded ring of recent events. *)
-module Ring : sig
-  type t
-
-  val create : capacity:int -> t
-
-  val add : t -> event -> unit
-
-  val to_list : t -> event list
-  (** Oldest first; at most [capacity] events. *)
-end
-
 val config_of_desc : run_desc -> Config.t
 (** Build the simulator configuration the descriptor names.  Raises
     [Invalid_argument] on an unknown [config_name]. *)
@@ -59,8 +37,13 @@ val programs_of_desc : run_desc -> Types.op list array
     [Invalid_argument] on a spec the registry rejects. *)
 
 val write :
-  path:string -> desc:run_desc -> violations:string list -> events:event list -> unit
-(** Write a failure artifact (overwrites [path]). *)
+  path:string ->
+  desc:run_desc ->
+  violations:string list ->
+  flight:Flight_ring.dump option ->
+  unit
+(** Write a failure artifact (overwrites [path]); the flight line is
+    omitted when [flight] is [None]. *)
 
 val read_desc : path:string -> (run_desc, string) result
 (** Parse the run-descriptor header back from a trace file. *)

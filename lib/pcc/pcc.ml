@@ -39,6 +39,10 @@ module Node = Pcc_core.Node
     hooks (commit events, crash phases). *)
 module Probe = Pcc_core.Probe
 
+(** The always-on flight recorder: the machine's one recent-event
+    window (stall reports, oracle failures, post-mortem dumps). *)
+module Flight_ring = Pcc_core.Flight_ring
+
 (** Sharing-vector sets. *)
 module Nodeset = Pcc_core.Nodeset
 

@@ -1,8 +1,10 @@
 (** Flight-recorder post-mortem decoding.
 
     {!Pcc_core.Flight_ring} owns the hot recording path and the raw dump
-    format; this module is the presentation side: load a dump file,
-    render the retained window as a human-readable timeline, and emit a
+    format, and renders single events ({!Pcc_core.Flight_ring.describe},
+    {!Pcc_core.Flight_ring.pp_event}) so stall reports and oracle
+    failures print them the same way.  This module is the file side:
+    load a dump, render the retained window as a timeline, and emit a
     Perfetto fragment so the same window can be inspected next to a full
     [pcc_trace] capture.  Entry point: [pcc_trace --flight FILE]. *)
 
@@ -11,15 +13,10 @@ type dump = Pcc_core.Flight_ring.dump
 type event = Pcc_core.Flight_ring.event
 
 val load : string -> (dump, string) result
-(** Read and decode a one-line JSON flight dump written by
-    {!Pcc_core.System.arm_flight_dump}. *)
-
-val describe : event -> string
-(** One human-readable line for one event (no timestamp), e.g.
-    ["send get-shared 3->0 line 5@0"] or ["dir-state line 5@0 -> Dele"]. *)
-
-val pp_event : Format.formatter -> event -> unit
-(** ["[%8d] %s"] — timestamp column plus {!describe}. *)
+(** Read and decode the last line of a file as a JSON flight dump: a
+    post-mortem written by {!Pcc_core.System.arm_flight_dump}, or an
+    oracle failure artifact, which ends with the flight window at the
+    violation. *)
 
 val pp_timeline : Format.formatter -> dump -> unit
 (** Dump header (reason, config, window coverage) followed by every

@@ -168,22 +168,37 @@ let parse_spec s =
         in
         parse [] (String.split_on_char ',' rest)
 
-let int_param ~workload params key default =
+(* Values are range-checked here, where the key can be named: a negative
+   count or skew would otherwise reach a generator as a crash, or run and
+   measure nothing. *)
+let int_param ?(min = min_int) ~workload params key default =
   match List.assoc_opt key params with
   | None -> Ok default
   | Some v -> (
       match int_of_string_opt v with
-      | Some i -> Ok i
+      | Some i when i >= min -> Ok i
+      | Some i ->
+          Error
+            (Printf.sprintf "workload %s: key %s must be >= %d, got %d" workload key min i)
       | None ->
           Error
             (Printf.sprintf "workload %s: key %s wants an integer, got %S" workload key v))
 
-let float_param ~workload params key default =
+let float_param ?(lo = Float.neg_infinity) ?(hi = Float.infinity) ~workload params key
+    default =
   match List.assoc_opt key params with
   | None -> Ok default
   | Some v -> (
       match float_of_string_opt v with
-      | Some f -> Ok f
+      | Some f when Float.is_finite f && f >= lo && f <= hi -> Ok f
+      | Some _ ->
+          Error
+            (Printf.sprintf "workload %s: key %s must be a finite number%s, got %S"
+               workload key
+               (if hi < Float.infinity then Printf.sprintf " in [%g, %g]" lo hi
+                else if lo > Float.neg_infinity then Printf.sprintf " >= %g" lo
+                else "")
+               v)
       | None ->
           Error
             (Printf.sprintf "workload %s: key %s wants a number, got %S" workload key v))
@@ -248,11 +263,13 @@ let entries =
         e_make =
           (fun ctx params ->
             let w = "kv" in
-            let* keys = int_param ~workload:w params "keys" 2048 in
-            let* skew = float_param ~workload:w params "skew" 0.9 in
-            let* write_frac = float_param ~workload:w params "write-frac" 0.2 in
-            let* ops_per_epoch = int_param ~workload:w params "ops" 96 in
-            let* events = int_param ~workload:w params "events" 400_000 in
+            let* keys = int_param ~min:1 ~workload:w params "keys" 2048 in
+            let* skew = float_param ~lo:0. ~workload:w params "skew" 0.9 in
+            let* write_frac =
+              float_param ~lo:0. ~hi:1. ~workload:w params "write-frac" 0.2
+            in
+            let* ops_per_epoch = int_param ~min:1 ~workload:w params "ops" 96 in
+            let* events = int_param ~min:1 ~workload:w params "events" 400_000 in
             let* seed = int_param ~workload:w params "seed" ctx.c_seed in
             Ok
               (of_dcgen
@@ -266,10 +283,10 @@ let entries =
         e_make =
           (fun ctx params ->
             let w = "pubsub" in
-            let* topics = int_param ~workload:w params "topics" 192 in
-            let* skew = float_param ~workload:w params "skew" 1.2 in
-            let* max_fanout = int_param ~workload:w params "fanout" 0 in
-            let* events = int_param ~workload:w params "events" 400_000 in
+            let* topics = int_param ~min:1 ~workload:w params "topics" 192 in
+            let* skew = float_param ~lo:0. ~workload:w params "skew" 1.2 in
+            let* max_fanout = int_param ~min:0 ~workload:w params "fanout" 0 in
+            let* events = int_param ~min:1 ~workload:w params "events" 400_000 in
             let* seed = int_param ~workload:w params "seed" ctx.c_seed in
             Ok
               (of_dcgen
@@ -283,11 +300,13 @@ let entries =
         e_make =
           (fun ctx params ->
             let w = "worksteal" in
-            let* queue = int_param ~workload:w params "queue" 8 in
-            let* steal_frac = float_param ~workload:w params "steal-frac" 0.3 in
-            let* skew = float_param ~workload:w params "skew" 1.0 in
-            let* tasks_per_epoch = int_param ~workload:w params "tasks" 48 in
-            let* events = int_param ~workload:w params "events" 400_000 in
+            let* queue = int_param ~min:1 ~workload:w params "queue" 8 in
+            let* steal_frac =
+              float_param ~lo:0. ~hi:1. ~workload:w params "steal-frac" 0.3
+            in
+            let* skew = float_param ~lo:0. ~workload:w params "skew" 1.0 in
+            let* tasks_per_epoch = int_param ~min:1 ~workload:w params "tasks" 48 in
+            let* events = int_param ~min:1 ~workload:w params "events" 400_000 in
             let* seed = int_param ~workload:w params "seed" ctx.c_seed in
             Ok
               (of_dcgen
@@ -301,12 +320,12 @@ let entries =
         e_make =
           (fun ctx params ->
             let w = "mpsc" in
-            let* consumers = int_param ~workload:w params "consumers" 0 in
-            let* slots = int_param ~workload:w params "slots" 16 in
-            let* rotate = int_param ~workload:w params "rotate" 4 in
-            let* skew = float_param ~workload:w params "skew" 0.8 in
-            let* appends_per_epoch = int_param ~workload:w params "appends" 48 in
-            let* events = int_param ~workload:w params "events" 400_000 in
+            let* consumers = int_param ~min:0 ~workload:w params "consumers" 0 in
+            let* slots = int_param ~min:1 ~workload:w params "slots" 16 in
+            let* rotate = int_param ~min:1 ~workload:w params "rotate" 4 in
+            let* skew = float_param ~lo:0. ~workload:w params "skew" 0.8 in
+            let* appends_per_epoch = int_param ~min:1 ~workload:w params "appends" 48 in
+            let* events = int_param ~min:1 ~workload:w params "events" 400_000 in
             let* seed = int_param ~workload:w params "seed" ctx.c_seed in
             Ok
               (of_dcgen

@@ -184,10 +184,23 @@ let test_stall_report_on_event_limit () =
         (stall.System.stall_outcome = Simulator.Event_limit_reached);
       Alcotest.(check bool) "unfinished processors reported" true
         (stall.System.stall_unfinished > 0);
+      (* recent events are the flight ring's newest, on an unhardened
+         machine too *)
+      let window = Flight_ring.events (System.flight sys) in
+      let tail = List.filteri (fun i _ -> i >= List.length window - 64) window in
+      Alcotest.(check int) "64 recent events" 64 (List.length stall.System.stall_recent);
+      Alcotest.(check bool) "recent events are the flight ring's tail" true
+        (stall.System.stall_recent = tail);
       (* the report is renderable *)
       let text = Format.asprintf "%a" System.pp_stall_report stall in
       Alcotest.(check bool) "report names the outcome" true
-        (contains_sub ~sub:"event-limit" text)
+        (contains_sub ~sub:"event-limit" text);
+      List.iter
+        (fun e ->
+          let rendered = Format.asprintf "%a" Flight_ring.pp_event e in
+          if not (contains_sub ~sub:rendered text) then
+            Alcotest.failf "report does not list %S" rendered)
+        tail
 
 let suite =
   [

@@ -74,7 +74,8 @@ let flight_roundtrip =
       if Ring.events ring <> expected then
         Q.Test.fail_reportf "retained window disagrees (capacity %d, %d events)" cap n;
       let json =
-        Ring.dump_to_json ring ~reason:"roundtrip" ~time:123 ~nodes:4 ~config:"cfg"
+        Ring.dump_to_json
+          (Ring.snapshot ring ~reason:"roundtrip" ~time:123 ~nodes:4 ~config:"cfg")
       in
       match Jsonl.of_string (Jsonl.to_string json) with
       | Error m -> Q.Test.fail_reportf "dump JSON does not reparse: %s" m
@@ -169,7 +170,7 @@ let test_stall_dump_wellformed () =
       (* the decoder is total over everything the recorder wrote *)
       List.iter
         (fun e ->
-          if String.length (Flight.describe e) = 0 then
+          if String.length (Ring.describe e) = 0 then
             Alcotest.failf "event at t=%d renders empty" e.Ring.e_time)
         dump.Ring.d_events;
       let text = Format.asprintf "%a" Flight.pp_timeline dump in

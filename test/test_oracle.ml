@@ -56,21 +56,23 @@ let test_trace_roundtrip () =
     { Oracle.Trace.bench = "em3d"; config_name = "full"; nodes = 6; scale = 0.25;
       seed = 17; fault = true }
   in
-  let events =
-    [
-      Oracle.Trace.Msg { time = 3; src = 1; dst = 2; cls = "inval"; line = line ~home:2 ~index:5 };
-      Oracle.Trace.Commit
-        { time = 9; node = 4; kind = Types.Store; line = line ~home:0 ~index:1;
-          value = 42; started = 7 };
-    ]
-  in
+  let ring = Flight_ring.create ~capacity:4 () in
+  Flight_ring.record ring ~time:3 ~kind:Flight_ring.k_send ~detail:4 ~src:1 ~dst:2
+    ~line:(line ~home:2 ~index:5) ~arg:0;
+  Flight_ring.record ring ~time:9 ~kind:Flight_ring.k_commit ~detail:1 ~src:4 ~dst:4
+    ~line:(line ~home:0 ~index:1) ~arg:42;
+  let flight = Flight_ring.snapshot ring ~reason:"boom" ~time:9 ~nodes:6 ~config:"cfg" in
   let path = Filename.temp_file "pcc-oracle" ".jsonl" in
-  Oracle.Trace.write ~path ~desc ~violations:[ "boom" ] ~events;
+  Oracle.Trace.write ~path ~desc ~violations:[ "boom" ] ~flight:(Some flight);
   let reread = Oracle.Trace.read_desc ~path in
+  let window = Pcc_telemetry.Flight.load path in
   Sys.remove path;
-  match reread with
+  (match reread with
   | Ok desc' -> Alcotest.(check bool) "descriptor round-trips" true (desc = desc')
-  | Error e -> Alcotest.failf "read_desc: %s" e
+  | Error e -> Alcotest.failf "read_desc: %s" e);
+  match window with
+  | Ok d -> Alcotest.(check bool) "flight window round-trips" true (d = flight)
+  | Error e -> Alcotest.failf "Flight.load: %s" e
 
 (* ---------------- order checker ---------------- *)
 
@@ -153,14 +155,27 @@ let test_fault_is_caught () =
   | None -> Alcotest.fail "injected stale-update fault never caught in 10 seeds"
   | Some report ->
       Alcotest.(check bool) "the run aborted online" true (report.result = None);
-      Alcotest.(check bool) "events captured" true (report.events <> []);
+      let violation_time =
+        match report.violations with
+        | v :: _ -> Scanf.sscanf v "t=%d:" Fun.id
+        | [] -> Alcotest.fail "no violation message"
+      in
       let path = Filename.temp_file "pcc-oracle-fault" ".jsonl" in
       Oracle.Runner.save_artifact ~path report;
       let reread = Oracle.Trace.read_desc ~path in
+      let window = Pcc_telemetry.Flight.load path in
       Sys.remove path;
       (match reread with
       | Ok desc -> Alcotest.(check bool) "artifact records the fault" true desc.fault
-      | Error e -> Alcotest.failf "artifact unreadable: %s" e)
+      | Error e -> Alcotest.failf "artifact unreadable: %s" e);
+      match window with
+      | Error e -> Alcotest.failf "artifact's flight window unreadable: %s" e
+      | Ok d -> (
+          match List.rev d.Flight_ring.d_events with
+          | [] -> Alcotest.fail "empty flight window"
+          | newest :: _ ->
+              Alcotest.(check bool) "window ends at or before the violation" true
+                (newest.Flight_ring.e_time <= violation_time))
 
 let test_fault_free_config_ignores_flag () =
   (* the same workload under the baseline machine has no update path, so

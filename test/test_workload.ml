@@ -196,9 +196,44 @@ let test_registry_rejects_unknown_key () =
       Alcotest.(check bool) "lists a valid key" true (contains ~needle:"skew" m)
 
 let test_registry_rejects_malformed_value () =
-  match Workload.of_spec ~nodes:8 ~scale:0.1 ~seed:5 "kv:skew=banana" with
-  | Ok _ -> Alcotest.fail "malformed value accepted"
-  | Error _ -> ()
+  (* unparsable values, and values out of the range the generator can
+     use; every message names the offending key *)
+  List.iter
+    (fun (spec, key) ->
+      match Workload.of_spec ~nodes:8 ~scale:0.1 ~seed:5 spec with
+      | Ok _ -> Alcotest.failf "malformed value accepted: %s" spec
+      | Error message ->
+          if not (contains ~needle:("key " ^ key) message) then
+            Alcotest.failf "%s: message does not name key %s: %s" spec key message)
+    [
+      ("kv:skew=banana", "skew");
+      ("kv:skew=-3", "skew");
+      ("kv:skew=nan", "skew");
+      ("kv:skew=inf", "skew");
+      ("kv:write-frac=1.5", "write-frac");
+      ("kv:write-frac=-0.1", "write-frac");
+      ("kv:keys=0", "keys");
+      ("kv:ops=-2", "ops");
+      ("kv:events=0", "events");
+      ("pubsub:topics=0", "topics");
+      ("pubsub:fanout=-1", "fanout");
+      ("pubsub:skew=-0.5", "skew");
+      ("worksteal:steal-frac=2", "steal-frac");
+      ("worksteal:queue=0", "queue");
+      ("worksteal:tasks=0", "tasks");
+      ("mpsc:slots=0", "slots");
+      ("mpsc:rotate=0", "rotate");
+      ("mpsc:appends=-1", "appends");
+      ("mpsc:consumers=-1", "consumers");
+      ("mpsc:events=-5", "events");
+    ];
+  (* documented zero defaults stay accepted *)
+  List.iter
+    (fun spec ->
+      match Workload.of_spec ~nodes:8 ~scale:0.1 ~seed:5 spec with
+      | Ok _ -> ()
+      | Error message -> Alcotest.failf "%s rejected: %s" spec message)
+    [ "pubsub:fanout=0,events=2000"; "mpsc:consumers=0,events=2000"; "kv:skew=0,write-frac=1" ]
 
 let test_streaming_generator_determinism () =
   (* same spec, two independent resolutions: the drained streams are
