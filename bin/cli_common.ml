@@ -29,8 +29,19 @@ let nodes ?(default = 16) ?(max = Pcc.Nodeset.max_nodes) ?(doc = "Number of node
   let doc = Printf.sprintf "%s  Between 2 and %d." doc max in
   Arg.(value & opt count default & info [ "n"; "nodes" ] ~docv:"N" ~doc)
 
+(* A run scaled to zero (or to nan) issues no operations and would pass
+   vacuously: a scale that is not a finite positive number is a usage
+   error (exit 124). *)
 let scale ?(default = 0.5) ?(doc = "Run-length scale.") () =
-  Arg.(value & opt float default & info [ "s"; "scale" ] ~docv:"S" ~doc)
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when not (Float.is_finite x && x > 0.0) ->
+        Error (`Msg (Printf.sprintf "scale %s would run nothing (need a finite S > 0)" s))
+    | result -> result
+  in
+  let positive = Arg.conv (parse, Arg.conv_printer Arg.float) in
+  let doc = doc ^ "  A finite number above 0." in
+  Arg.(value & opt positive default & info [ "s"; "scale" ] ~docv:"S" ~doc)
 
 let seed ?(default = 1) ?(doc = "Workload seed.") () =
   Arg.(value & opt int default & info [ "seed" ] ~docv:"SEED" ~doc)
@@ -122,8 +133,12 @@ let write_metrics path fill =
 let max_events ?(default = 50_000_000) ?(doc = "Event budget per run.") () =
   Arg.(value & opt int default & info [ "max-events" ] ~docv:"N" ~doc)
 
+(* Exploring zero states checks nothing: N < 1 is a usage error. *)
 let max_states ?(default = 3_000_000) ?(doc = "Model-checker exploration bound (states).")
     () =
-  Arg.(value & opt int default & info [ "max-states" ] ~docv:"N" ~doc)
+  let count =
+    bounded_int ~min:1 (Printf.sprintf "%d states would check nothing (need N >= 1)")
+  in
+  Arg.(value & opt count default & info [ "max-states" ] ~docv:"N" ~doc)
 
 let verbose ~doc () = Arg.(value & flag & info [ "v"; "verbose" ] ~doc)

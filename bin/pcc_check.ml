@@ -169,7 +169,14 @@ let lines_arg =
            partial-order reduction keeps it tractable.")
 
 let ops_arg =
-  Arg.(value & opt int 2 & info [ "ops" ] ~doc:"Memory operations per node (per line).")
+  let count =
+    Cli_common.bounded_int ~min:1
+      (Printf.sprintf "%d operations per node would check nothing (need N >= 1)")
+  in
+  Arg.(
+    value
+    & opt count 2
+    & info [ "ops" ] ~docv:"N" ~doc:"Memory operations per node (per line), at least 1.")
 
 let workload_arg =
   Arg.(

@@ -57,45 +57,60 @@ module Visited = struct
     Out_channel.with_open_bin run (fun _ -> ());
     Disk { dir; run; generation = 0 }
 
-  let read_digest ic buf =
-    match In_channel.really_input_string ic digest_bytes with
-    | Some s -> Some s
-    | None ->
-        ignore buf;
-        None
+  let read_digest ic = In_channel.really_input_string ic digest_bytes
 
-  (* [sorted] must be strictly increasing.  Returns the members of
-     [sorted] already present, as a hash table. *)
-  let known t sorted =
+  (* The members of [sorted] (strictly increasing) already in the run,
+     found in one sequential scan. *)
+  let known_on_disk run sorted =
+    let hits = Hashtbl.create 1024 in
+    In_channel.with_open_bin run (fun ic ->
+        let rec walk current = function
+          | [] -> ()
+          | q :: rest as queries -> (
+              match current with
+              | None -> ()
+              | Some existing ->
+                  let c = String.compare existing q in
+                  if c < 0 then walk (read_digest ic) queries
+                  else if c = 0 then begin
+                    Hashtbl.replace hits q ();
+                    walk (read_digest ic) rest
+                  end
+                  else walk current rest)
+        in
+        walk (read_digest ic) sorted);
+    hits
+
+  (* One level's deduplication: [fresh d] is true the first time the
+     level offers a digest the set does not hold yet.  The in-memory set
+     answers one digest at a time and records it as it answers; the
+     spilled set scans its run once for the level's [candidates] (forced
+     only here: sorted, deduplicated), and [add] merges the fresh digests
+     into the run afterwards. *)
+  let level t candidates =
     match t with
     | Mem h ->
-        let hits = Hashtbl.create 1024 in
-        List.iter (fun d -> if Hashtbl.mem h d then Hashtbl.replace hits d ()) sorted;
-        hits
+        fun d ->
+          (not (Hashtbl.mem h d))
+          && begin
+            Hashtbl.add h d ();
+            true
+          end
     | Disk d ->
-        let hits = Hashtbl.create 1024 in
-        In_channel.with_open_bin d.run (fun ic ->
-            let rec walk current = function
-              | [] -> ()
-              | q :: rest as queries -> (
-                  match current with
-                  | None -> ()
-                  | Some existing ->
-                      let c = String.compare existing q in
-                      if c < 0 then walk (read_digest ic ()) queries
-                      else if c = 0 then begin
-                        Hashtbl.replace hits q ();
-                        walk (read_digest ic ()) rest
-                      end
-                      else walk current rest)
-            in
-            walk (read_digest ic ()) sorted);
-        hits
+        let known = known_on_disk d.run (candidates ()) in
+        let added = Hashtbl.create 4096 in
+        fun d ->
+          (not (Hashtbl.mem known d || Hashtbl.mem added d))
+          && begin
+            Hashtbl.replace added d ();
+            true
+          end
 
-  (* [sorted] must be strictly increasing and disjoint from the set. *)
+  (* [sorted ()]: the digests [level] found fresh, strictly increasing.
+     The in-memory set already holds them. *)
   let add t sorted =
     match t with
-    | Mem h -> List.iter (fun d -> Hashtbl.replace h d ()) sorted
+    | Mem _ -> ()
     | Disk d ->
         let next_gen = d.generation + 1 in
         let next = Filename.concat d.dir (Printf.sprintf "visited-%d.run" next_gen) in
@@ -109,18 +124,18 @@ module Visited = struct
                       merge None rest
                   | Some existing, [] ->
                       Out_channel.output_string oc existing;
-                      merge (read_digest ic ()) []
+                      merge (read_digest ic) []
                   | Some existing, q :: rest ->
                       if String.compare existing q < 0 then begin
                         Out_channel.output_string oc existing;
-                        merge (read_digest ic ()) queries
+                        merge (read_digest ic) queries
                       end
                       else begin
                         Out_channel.output_string oc q;
                         merge current rest
                       end
                 in
-                merge (read_digest ic ()) sorted));
+                merge (read_digest ic) (sorted ())));
         Sys.remove d.run;
         d.run <- next;
         d.generation <- next_gen
@@ -256,19 +271,14 @@ let run (type s) (module M : MODEL with type state = s) ?(max_states = 2_000_000
   in
   (* deduplicated initial frontier, in canonical-hash order *)
   let initial =
-    let seen = Hashtbl.create 16 in
-    List.filter_map
-      (fun st ->
-        let d = digest st in
-        if Hashtbl.mem seen d then None
-        else begin
-          Hashtbl.replace seen d ();
-          Some (d, st)
-        end)
-      M.initial
+    let keyed = List.map (fun st -> (digest st, st)) M.initial in
+    let fresh =
+      Visited.level visited (fun () -> List.sort_uniq String.compare (List.map fst keyed))
+    in
+    List.filter (fun (d, _) -> fresh d) keyed
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  Visited.add visited (List.map fst initial);
+  Visited.add visited (fun () -> List.map fst initial);
   let expand frontier =
     let per_state (_, st) =
       let x_violated =
@@ -324,16 +334,13 @@ let run (type s) (module M : MODEL with type state = s) ?(max_states = 2_000_000
       match !verdict with
       | Some outcome -> outcome
       | None ->
-          (* one batched membership query for the whole level *)
-          let candidates =
-            Array.to_list expansions
-            |> List.concat_map (fun x ->
-                   List.concat_map (List.map (fun (_, _, d) -> d)) x.x_groups)
-            |> List.sort_uniq String.compare
+          let fresh =
+            Visited.level visited (fun () ->
+                Array.to_list expansions
+                |> List.concat_map (fun x ->
+                       List.concat_map (List.map (fun (_, _, d) -> d)) x.x_groups)
+                |> List.sort_uniq String.compare)
           in
-          let known = Visited.known visited candidates in
-          let added = Hashtbl.create 4096 in
-          let fresh d = not (Hashtbl.mem known d || Hashtbl.mem added d) in
           let next = ref [] in
           Array.iteri
             (fun i x ->
@@ -357,16 +364,14 @@ let run (type s) (module M : MODEL with type state = s) ?(max_states = 2_000_000
                 (fun (label, st', d) ->
                   incr transitions;
                   if fresh d then begin
-                    Hashtbl.replace added d ();
                     Parents.add parents ~child:d ~parent:key ~label;
                     next := (d, st') :: !next
                   end)
                 chosen)
             expansions;
-          let next =
-            List.sort (fun (a, _) (b, _) -> String.compare a b) !next |> Array.of_list
-          in
-          Visited.add visited (List.map fst (Array.to_list next));
+          let next = Array.of_list !next in
+          Array.stable_sort (fun (a, _) (b, _) -> String.compare a b) next;
+          Visited.add visited (fun () -> List.map fst (Array.to_list next));
           level next
     end
   in

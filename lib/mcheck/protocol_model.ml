@@ -167,36 +167,57 @@ let with_node st n f =
   ns.(n) <- f ns.(n);
   { st with ns }
 
-let post st packets =
-  let next_seq net src dst =
-    1
-    + List.fold_left
-        (fun acc p -> if p.src = src && p.dst = dst then max acc p.seq else acc)
-        (-1) net
-  in
-  List.fold_left
-    (fun st p -> { st with net = { p with seq = next_seq st.net p.src p.dst } :: st.net })
-    st packets
+(* one past the highest sequence number on channel (src, dst) *)
+let rec next_seq src dst seq = function
+  | [] -> seq
+  | p :: rest ->
+      next_seq src dst (if p.src = src && p.dst = dst then max seq (p.seq + 1) else seq) rest
+
+let post st = function
+  | [] -> st
+  | packets ->
+      let net =
+        List.fold_left
+          (fun net p -> { p with seq = next_seq p.src p.dst 0 net } :: net)
+          st.net packets
+      in
+      { st with net }
 
 let remove_packet st packet =
   let rec drop = function
     | [] -> []
-    | p :: rest -> if p = packet then rest else p :: drop rest
+    | p :: rest -> if p == packet then rest else p :: drop rest
   in
   { st with net = drop st.net }
+
+(* (src, dst, seq) is unique per packet, so this is the order polymorphic
+   [compare] gives on whole packets. *)
+let compare_packet a b =
+  if a.src <> b.src then Int.compare a.src b.src
+  else if a.dst <> b.dst then Int.compare a.dst b.dst
+  else Int.compare a.seq b.seq
+
+let rec sorted = function
+  | a :: (b :: _ as rest) -> compare_packet a b < 0 && sorted rest
+  | [] | [ _ ] -> true
+
+(* Numbers each channel's packets of a sorted net from 0, sharing every
+   packet and tail that already carries its number. *)
+let rec renumber src dst counter = function
+  | [] -> []
+  | p :: rest as net ->
+      let counter = if p.src = src && p.dst = dst then counter + 1 else 0 in
+      let rest' = renumber p.src p.dst counter rest in
+      if p.seq <> counter then { p with seq = counter } :: rest'
+      else if rest' == rest then net
+      else p :: rest'
 
 (* Canonical form: per-pair sequence numbers are renumbered from 0 so
    states differing only by absolute sequence values coincide. *)
 let norm st =
-  let sorted = List.sort compare st.net in
-  let rec renumber last counter acc = function
-    | [] -> List.rev acc
-    | p :: rest ->
-        let pair = (p.src, p.dst) in
-        let counter = if last = Some pair then counter + 1 else 0 in
-        renumber (Some pair) counter ({ p with seq = counter } :: acc) rest
-  in
-  { st with net = renumber None 0 [] sorted }
+  let net = if sorted st.net then st.net else List.sort compare_packet st.net in
+  let net = renumber (-1) (-1) 0 net in
+  if net == st.net then st else { st with net }
 
 let fail st message = { st with error = Some message }
 
@@ -800,10 +821,112 @@ let cache_handle params st ~src n msg =
   | MWb _ | MSwb _ | MTack _ | MUndele _ -> assert false (* home side *)
 
 (* ------------------------------------------------------------------ *)
+(* Transition labels                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Labels are only read when a counterexample is printed, yet every
+   transition carries one, so they are built once per model and shared:
+   successor lists point into these tables. *)
+
+type node_labels = {
+  load_hit : string;
+  load_rac : string;
+  load_miss : string;
+  store_hit : string;
+  store_upgrade : string;
+  store_regain : string;
+  store_miss : string;
+  downgrade : string;
+  evict_excl_delegated : string;
+  evict_excl : string;
+  evict_shared : string;
+  undelegate : string;
+  drop_hint : string;
+}
+
+type labels = {
+  node : node_labels array;
+  stride : int;
+  deliver : string array;  (* ((src * stride) + dst) * classes + class *)
+}
+
+let msg_class_names =
+  [| "gets"; "getx"; "fwds"; "inval"; "intv"; "transfer"; "datas"; "datae"; "ack"; "swb";
+     "tack"; "nack"; "delegate"; "newhome"; "recall"; "undele"; "update"; "updack"; "wb";
+     "wback" |]
+
+(* index into [msg_class_names]; flush and flush-ack share a label *)
+let msg_class = function
+  | MGetS _ -> 0
+  | MGetX _ -> 1
+  | MFwdS _ -> 2
+  | MInval _ -> 3
+  | MIntv _ -> 4
+  | MTransfer _ -> 5
+  | MDataS _ -> 6
+  | MDataE _ -> 7
+  | MAck -> 8
+  | MSwb _ -> 9
+  | MTack _ -> 10
+  | MNack _ -> 11
+  | MDelegate _ -> 12
+  | MNewHome _ -> 13
+  | MRecall -> 14
+  | MUndele _ -> 15
+  | MUpdate _ -> 16
+  | MFlush | MFlushAck -> 17
+  | MWb _ -> 18
+  | MWbAck -> 19
+
+let build_labels ~nodes ~prefix =
+  let node_labels n =
+    let l kind = prefix ^ "n" ^ string_of_int n ^ ":" ^ kind in
+    {
+      load_hit = l "issue-load-hit";
+      load_rac = l "issue-load-rac";
+      load_miss = l "issue-load-miss";
+      store_hit = l "issue-store-hit";
+      store_upgrade = l "issue-store-upgrade";
+      store_regain = l "issue-store-regain";
+      store_miss = l "issue-store-miss";
+      downgrade = l "downgrade";
+      evict_excl_delegated = l "evict-excl-delegated";
+      evict_excl = l "evict-excl";
+      evict_shared = l "evict-shared";
+      undelegate = l "undelegate";
+      drop_hint = l "drop-hint";
+    }
+  in
+  let classes = Array.length msg_class_names in
+  {
+    node = Array.init nodes node_labels;
+    stride = nodes;
+    deliver =
+      Array.init (nodes * nodes * classes) (fun i ->
+          let pair = i / classes in
+          prefix ^ "deliver[" ^ string_of_int (pair / nodes) ^ "->"
+          ^ string_of_int (pair mod nodes)
+          ^ "]:" ^ msg_class_names.(i mod classes));
+  }
+
+let deliver_label labels packet =
+  labels.deliver.((((packet.src * labels.stride) + packet.dst) * Array.length msg_class_names)
+                  + msg_class packet.msg)
+
+(* Unprefixed labels for the single-line [Step] driver, built once for
+   every size the differential oracle steers (up to 8 nodes); larger
+   models get a table per call. *)
+let plain_labels = build_labels ~nodes:8 ~prefix:""
+
+let step_labels params =
+  if params.nodes <= plain_labels.stride then plain_labels
+  else build_labels ~nodes:params.nodes ~prefix:""
+
+(* ------------------------------------------------------------------ *)
 (* Transition enumeration                                              *)
 (* ------------------------------------------------------------------ *)
 
-let issue_transitions params ~line st n =
+let issue_transitions labels params ~line st n =
   let node = st.ns.(n) in
   let may_load, may_store =
     match params.workload with
@@ -814,13 +937,13 @@ let issue_transitions params ~line st n =
   in
   if node.pend <> None || node.done_ >= params.max_ops_per_node then []
   else begin
-    let label kind = Printf.sprintf "n%d:issue-%s" n kind in
+    let names = labels.node.(n) in
     let load =
       match node.cache with
-      | CS v | CE v -> (label "load-hit", commit_read st n v ~cache_fill:true)
+      | CS v | CE v -> (names.load_hit, commit_read st n v ~cache_fill:true)
       | CI -> (
           match node.rac with
-          | Some v -> (label "load-rac", commit_read st n v ~cache_fill:true)
+          | Some v -> (names.load_rac, commit_read st n v ~cache_fill:true)
           | None ->
               let st =
                 with_node st n (fun node ->
@@ -829,11 +952,11 @@ let issue_transitions params ~line st n =
                       pend = Some { pkind = PL; have_data = false; acks = 0; poisoned = false; target = -1; tid = 2 * node.done_; deferred = [] };
                     })
               in
-              (label "load-miss", resend_request st n))
+              (names.load_miss, resend_request st n))
     in
     let store =
       match (node.cache, node.prod) with
-      | CE _, _ -> (label "store-hit", commit_store st n)
+      | CE _, _ -> (names.store_hit, commit_store st n)
       | _, Some ({ pst = PSh; _ } as p) ->
           (* delegated local upgrade: invalidate consumers directly *)
           let others = bits_list (rem_bit p.psharers n) in
@@ -858,10 +981,10 @@ let issue_transitions params ~line st n =
           let st =
             post st (List.map (fun c -> { src = n; dst = c; seq = 0; msg = MInval n }) others)
           in
-          (label "store-upgrade", try_complete_store st n)
+          (names.store_upgrade, try_complete_store st n)
       | CI, Some { pst = PEx; _ } ->
           (* exclusivity held, line evicted to the pinned RAC entry *)
-          (label "store-regain", commit_store st n)
+          (names.store_regain, commit_store st n)
       | (CI | CS _), _ ->
           let st =
             with_node st n (fun node ->
@@ -870,26 +993,27 @@ let issue_transitions params ~line st n =
                   pend = Some { pkind = PW; have_data = false; acks = 0; poisoned = false; target = -1; tid = (2 * node.done_) + 1; deferred = [] };
                 })
           in
-          (label "store-miss", resend_request st n)
+          (names.store_miss, resend_request st n)
     in
     (if may_load then [ load ] else []) @ (if may_store then [ store ] else [])
   end
 
-let spontaneous_transitions params st n =
+let spontaneous_transitions labels params st n =
   let node = st.ns.(n) in
+  let names = labels.node.(n) in
   let transitions = ref [] in
-  let add label st' = transitions := (Printf.sprintf "n%d:%s" n label, st') :: !transitions in
+  let add label st' = transitions := (label, st') :: !transitions in
   (* delayed intervention fires *)
   (match node.prod with
-  | Some { pst = PEx; _ } -> add "downgrade" (downgrade_push params st n ~exclude:None)
+  | Some { pst = PEx; _ } -> add names.downgrade (downgrade_push params st n ~exclude:None)
   | _ -> ());
   (* cache eviction *)
   (match (node.cache, node.prod) with
   | CE v, Some _ ->
-      add "evict-excl-delegated"
+      add names.evict_excl_delegated
         (with_node st n (fun node -> { node with cache = CI; rac = Some v }))
   | CE v, None ->
-      add "evict-excl"
+      add names.evict_excl
         (post
            (with_node st n (fun node -> { node with cache = CI; wbp = true }))
            [ { src = n; dst = home; seq = 0; msg = MWb v } ])
@@ -898,28 +1022,29 @@ let spontaneous_transitions params st n =
         with_node st n (fun node ->
             { node with cache = CI; rac = (if n = home then node.rac else Some v) })
       in
-      add "evict-shared" st'
+      add names.evict_shared st'
   | CI, _ -> ());
   (* capacity undelegation *)
   (match node.prod with
   | Some ({ pst = PEx | PSh; _ } as p) when not (fence_needed p) ->
-      add "undelegate" (undelegate st n ~pending:None)
+      add names.undelegate (undelegate st n ~pending:None)
   | _ -> ());
   (* consumer-table hint eviction *)
   (match node.hint with
-  | Some _ -> add "drop-hint" (with_node st n (fun node -> { node with hint = None }))
+  | Some _ -> add names.drop_hint (with_node st n (fun node -> { node with hint = None }))
   | None -> ());
   !transitions
 
-let head_of_line net packet =
-  List.for_all
-    (fun q -> not (q.src = packet.src && q.dst = packet.dst && q.seq < packet.seq))
-    net
+let rec head_of_line packet = function
+  | [] -> true
+  | q :: rest ->
+      (not (q.src = packet.src && q.dst = packet.dst && q.seq < packet.seq))
+      && head_of_line packet rest
 
-let deliver_transitions params st =
+let deliver_transitions labels params st =
   List.concat_map
     (fun packet ->
-      if not (head_of_line st.net packet) then []
+      if not (head_of_line packet st.net) then []
       else
       let st' = remove_packet st packet in
       let results =
@@ -930,34 +1055,9 @@ let deliver_transitions params st =
             home_handle params st' ~s:packet.src packet.msg
         | _ -> cache_handle params st' ~src:packet.src packet.dst packet.msg
       in
+      let label = deliver_label labels packet in
       List.mapi
-        (fun i result ->
-          let label =
-            Printf.sprintf "deliver[%d->%d]%s%s" packet.src packet.dst
-              (match packet.msg with
-              | MGetS _ -> ":gets"
-              | MGetX _ -> ":getx"
-              | MFwdS _ -> ":fwds"
-              | MInval _ -> ":inval"
-              | MIntv _ -> ":intv"
-              | MTransfer _ -> ":transfer"
-              | MDataS _ -> ":datas"
-              | MDataE _ -> ":datae"
-              | MAck -> ":ack"
-              | MSwb _ -> ":swb"
-              | MTack _ -> ":tack"
-              | MNack _ -> ":nack"
-              | MDelegate _ -> ":delegate"
-              | MNewHome _ -> ":newhome"
-              | MRecall -> ":recall"
-              | MUndele _ -> ":undele"
-              | MUpdate _ -> ":update"
-              | MFlush | MFlushAck -> ":updack"
-              | MWb _ -> ":wb"
-              | MWbAck -> ":wback")
-              (if i = 0 then "" else Printf.sprintf "#%d" i)
-          in
-          (label, result))
+        (fun i result -> ((if i = 0 then label else label ^ "#" ^ string_of_int i), result))
         results)
     st.net
 
@@ -1079,26 +1179,25 @@ let initial_state params =
 (* a successor that overfills some channel is not taken; the message it
    would react to stays in the network for later *)
 let channels_ok params st =
-  let counts = Hashtbl.create 16 in
+  let rec on_channel src dst count = function
+    | [] -> count
+    | p :: rest -> on_channel src dst (if p.src = src && p.dst = dst then count + 1 else count) rest
+  in
   List.for_all
-    (fun p ->
-      let key = (p.src, p.dst) in
-      let c = 1 + (try Hashtbl.find counts key with Not_found -> 0) in
-      Hashtbl.replace counts key c;
-      c <= params.channel_capacity)
+    (fun p -> on_channel p.src p.dst 0 st.net <= params.channel_capacity)
     st.net
 
-let all_successors ?(line = 0) params st =
-  let issues =
-    List.concat (List.init params.nodes (fun n -> issue_transitions params ~line st n))
-  in
-  let spontaneous =
-    List.concat (List.init params.nodes (fun n -> spontaneous_transitions params st n))
-  in
-  let deliveries = deliver_transitions params st in
-  List.filter_map
-    (fun (label, st') -> if channels_ok params st' then Some (label, norm st') else None)
-    (issues @ spontaneous @ deliveries)
+let all_successors ?(line = 0) labels params st =
+  (* generation order: issues, spontaneous moves, deliveries *)
+  let keep acc (label, st') = if channels_ok params st' then (label, norm st') :: acc else acc in
+  let acc = ref [] in
+  for n = 0 to params.nodes - 1 do
+    acc := List.fold_left keep !acc (issue_transitions labels params ~line st n)
+  done;
+  for n = 0 to params.nodes - 1 do
+    acc := List.fold_left keep !acc (spontaneous_transitions labels params st n)
+  done;
+  List.rev (List.fold_left keep !acc (deliver_transitions labels params st))
 
 let invariants_list =
   [
@@ -1148,161 +1247,251 @@ let pp_state ppf st =
 
 (* The seed encoded states with [Marshal], which dominated exploration
    time once symmetry reduction multiplied encodes by (n-1)!.  This hand
-   encoder writes one byte per small field into a reused buffer.  Every
-   integer in a reachable state is tiny (masks < 2^nodes, versions and
-   tids bounded by the op budget, ack counts by in-flight messages), so a
-   single byte biased by 64 covers the range; the encoding of each list
-   is length-prefixed, making the whole encoding self-delimiting and the
-   concatenation of several line encodings injective. *)
+   encoder writes one byte per small field.  Every integer in a reachable
+   state is tiny (masks < 2^nodes, versions and tids bounded by the op
+   budget, ack counts by in-flight messages), so a single byte biased by
+   64 covers the range; the encoding of each list is length-prefixed,
+   making the whole encoding self-delimiting and the concatenation of
+   several line encodings injective.
 
-let byte buf n = Buffer.add_char buf (Char.unsafe_chr ((n + 64) land 0xff))
+   Canonicalization encodes one state under every node permutation.  The
+   encoder writes the permuted image in place — each id and mask is
+   renamed as it is written, nodes are visited through the inverse
+   permutation — instead of building the renamed state and normalizing
+   it again.  Renaming a normalized state keeps every channel's sequence
+   numbers, so only the packet order changes: packets are emitted in
+   (renamed src, renamed dst, seq) order.  The identity permutation
+   writes the state as it is.  [rename_state] stays as the reference
+   the symmetry properties check this encoder against ([Sym]). *)
 
-let enc_bool buf x = byte buf (if x then 1 else 0)
+type writer = { mutable bytes : Bytes.t; mutable len : int }
 
-let enc_opt enc buf = function
-  | None -> byte buf 0
+let writer () = { bytes = Bytes.create 256; len = 0 }
+
+let grow w extra =
+  let bytes = Bytes.create (max (2 * Bytes.length w.bytes) (w.len + extra)) in
+  Bytes.blit w.bytes 0 bytes 0 w.len;
+  w.bytes <- bytes
+
+let byte w n =
+  if w.len = Bytes.length w.bytes then grow w 1;
+  Bytes.unsafe_set w.bytes w.len (Char.unsafe_chr ((n + 64) land 0xff));
+  w.len <- w.len + 1
+
+let blit w src off len =
+  if w.len + len > Bytes.length w.bytes then grow w len;
+  Bytes.blit src off w.bytes w.len len;
+  w.len <- w.len + len
+
+(* lexicographic, unsigned — the order of [String.compare] *)
+let rec compare_bytes a aoff alen b boff blen i =
+  if i = alen || i = blen then Int.compare alen blen
+  else
+    let c = Char.compare (Bytes.unsafe_get a (aoff + i)) (Bytes.unsafe_get b (boff + i)) in
+    if c <> 0 then c else compare_bytes a aoff alen b boff blen (i + 1)
+
+type perm = { fwd : int array; inv : int array; identity : bool }
+
+let perm_of fwd =
+  let inv = Array.make (Array.length fwd) 0 in
+  Array.iteri (fun i j -> inv.(j) <- i) fwd;
+  { fwd; inv; identity = Array.for_all Fun.id (Array.mapi ( = ) fwd) }
+
+let rn p n = if n < 0 || p.identity then n else p.fwd.(n)
+
+let rmask p mask = if p.identity then mask else rename_mask p.fwd mask
+
+let enc_bool w x = byte w (if x then 1 else 0)
+
+let enc_opt_int w = function
+  | None -> byte w 0
   | Some x ->
-      byte buf 1;
-      enc buf x
+      byte w 1;
+      byte w x
 
-let enc_cache buf = function
-  | CI -> byte buf 0
+let enc_cache w = function
+  | CI -> byte w 0
   | CS v ->
-      byte buf 1;
-      byte buf v
+      byte w 1;
+      byte w v
   | CE v ->
-      byte buf 2;
-      byte buf v
+      byte w 2;
+      byte w v
 
-let enc_prod buf p =
-  byte buf (match p.pst with PB -> 0 | PEx -> 1 | PSh -> 2);
-  byte buf p.psharers;
-  byte buf p.upds;
-  enc_bool buf p.recalled;
-  byte buf p.unflushed;
-  byte buf p.fl_acks
+let enc_prod w p prod =
+  byte w (match prod.pst with PB -> 0 | PEx -> 1 | PSh -> 2);
+  byte w (rmask p prod.psharers);
+  byte w (rmask p prod.upds);
+  enc_bool w prod.recalled;
+  byte w (rmask p prod.unflushed);
+  byte w prod.fl_acks
 
-let enc_pend buf p =
-  byte buf (match p.pkind with PL -> 0 | PW -> 1);
-  enc_bool buf p.have_data;
-  byte buf p.acks;
-  enc_bool buf p.poisoned;
-  byte buf p.target;
-  byte buf p.tid;
-  byte buf (List.length p.deferred);
-  List.iter
-    (fun (t, r, tid) ->
-      enc_bool buf t;
-      byte buf r;
-      byte buf tid)
-    p.deferred
+let rec enc_deferred w p = function
+  | [] -> ()
+  | (t, r, tid) :: rest ->
+      enc_bool w t;
+      byte w (rn p r);
+      byte w tid;
+      enc_deferred w p rest
 
-let enc_msg buf = function
+let enc_pend w p pend =
+  byte w (match pend.pkind with PL -> 0 | PW -> 1);
+  enc_bool w pend.have_data;
+  byte w pend.acks;
+  enc_bool w pend.poisoned;
+  byte w (rn p pend.target);
+  byte w pend.tid;
+  byte w (List.length pend.deferred);
+  enc_deferred w p pend.deferred
+
+let enc_msg w p = function
   | MGetS tid ->
-      byte buf 0;
-      byte buf tid
+      byte w 0;
+      byte w tid
   | MGetX tid ->
-      byte buf 1;
-      byte buf tid
+      byte w 1;
+      byte w tid
   | MFwdS (r, tid) ->
-      byte buf 2;
-      byte buf r;
-      byte buf tid
+      byte w 2;
+      byte w (rn p r);
+      byte w tid
   | MInval r ->
-      byte buf 3;
-      byte buf r
+      byte w 3;
+      byte w (rn p r)
   | MIntv (r, tid) ->
-      byte buf 4;
-      byte buf r;
-      byte buf tid
+      byte w 4;
+      byte w (rn p r);
+      byte w tid
   | MTransfer (r, tid) ->
-      byte buf 5;
-      byte buf r;
-      byte buf tid
+      byte w 5;
+      byte w (rn p r);
+      byte w tid
   | MDataS (v, tid) ->
-      byte buf 6;
-      byte buf v;
-      byte buf tid
+      byte w 6;
+      byte w v;
+      byte w tid
   | MDataE (v, a, tid) ->
-      byte buf 7;
-      byte buf v;
-      byte buf a;
-      byte buf tid
-  | MAck -> byte buf 8
+      byte w 7;
+      byte w v;
+      byte w a;
+      byte w tid
+  | MAck -> byte w 8
   | MSwb (v, ns) ->
-      byte buf 9;
-      byte buf v;
-      byte buf ns
+      byte w 9;
+      byte w v;
+      byte w (rn p ns)
   | MTack o ->
-      byte buf 10;
-      byte buf o
+      byte w 10;
+      byte w (rn p o)
   | MNack (r, tid) ->
-      byte buf 11;
-      byte buf (match r with NBusy -> 0 | NNotHome -> 1 | NPending -> 2);
-      byte buf tid
-  | MDelegate (s, v, a, tid) ->
-      byte buf 12;
-      byte buf s;
-      byte buf v;
-      byte buf a;
-      byte buf tid
+      byte w 11;
+      byte w (match r with NBusy -> 0 | NNotHome -> 1 | NPending -> 2);
+      byte w tid
+  | MDelegate (sharers, v, a, tid) ->
+      byte w 12;
+      byte w (rmask p sharers);
+      byte w v;
+      byte w a;
+      byte w tid
   | MNewHome h ->
-      byte buf 13;
-      byte buf h
-  | MRecall -> byte buf 14
-  | MUndele (s, v, p) ->
-      byte buf 15;
-      byte buf s;
-      enc_opt byte buf v;
-      enc_opt
-        (fun buf (r, tid) ->
-          byte buf r;
-          byte buf tid)
-        buf p
+      byte w 13;
+      byte w (rn p h)
+  | MRecall -> byte w 14
+  | MUndele (sharers, v, pending) -> (
+      byte w 15;
+      byte w (rmask p sharers);
+      enc_opt_int w v;
+      match pending with
+      | None -> byte w 0
+      | Some (r, tid) ->
+          byte w 1;
+          byte w (rn p r);
+          byte w tid)
   | MUpdate v ->
-      byte buf 16;
-      byte buf v
-  | MFlush -> byte buf 17
-  | MFlushAck -> byte buf 18
+      byte w 16;
+      byte w v
+  | MFlush -> byte w 17
+  | MFlushAck -> byte w 18
   | MWb v ->
-      byte buf 19;
-      byte buf v
-  | MWbAck -> byte buf 20
+      byte w 19;
+      byte w v
+  | MWbAck -> byte w 20
 
-(* [st] must already be normalized ([norm]). *)
-let enc_line buf st =
-  Array.iter
-    (fun n ->
-      enc_cache buf n.cache;
-      enc_opt byte buf n.rac;
-      enc_opt enc_prod buf n.prod;
-      enc_opt enc_pend buf n.pend;
-      enc_opt byte buf n.hint;
-      byte buf n.done_;
-      byte buf n.last_seen;
-      enc_bool buf n.wbp)
-    st.ns;
-  byte buf (match st.dir with DU -> 0 | DS -> 1 | DE -> 2 | DBs -> 3 | DBe -> 4 | DD -> 5);
-  byte buf st.shr;
-  byte buf st.own;
-  byte buf st.req;
-  byte buf st.req_tid;
-  byte buf st.mem;
-  byte buf st.nextv;
-  byte buf (List.length st.net);
-  List.iter
-    (fun p ->
-      byte buf p.src;
-      byte buf p.dst;
-      byte buf p.seq;
-      enc_msg buf p.msg)
-    st.net;
+let enc_packet w p pk =
+  byte w (rn p pk.src);
+  byte w (rn p pk.dst);
+  byte w pk.seq;
+  enc_msg w p pk.msg
+
+(* a packet's position in the renamed state's normalized net *)
+let packet_key p pk = (((rn p pk.src lsl 4) lor rn p pk.dst) lsl 16) lor pk.seq
+
+let rec min_key_above p last best = function
+  | [] -> best
+  | pk :: rest ->
+      let k = packet_key p pk in
+      min_key_above p last (if k > last && k < best then k else best) rest
+
+let rec enc_keyed w p k = function
+  | [] -> ()
+  | pk :: rest -> if packet_key p pk = k then enc_packet w p pk else enc_keyed w p k rest
+
+let rec enc_in_order w p = function
+  | [] -> ()
+  | pk :: rest ->
+      enc_packet w p pk;
+      enc_in_order w p rest
+
+(* Appends the encoding of [st] renamed by [p]; [st] must be normalized
+   ([norm]).  The bytes are those the identity permutation writes for
+   [norm (rename_state p.fwd st)]. *)
+let enc_line w p st =
+  for j = 0 to Array.length st.ns - 1 do
+    let n = st.ns.(if p.identity then j else p.inv.(j)) in
+    enc_cache w n.cache;
+    enc_opt_int w n.rac;
+    (match n.prod with
+    | None -> byte w 0
+    | Some prod ->
+        byte w 1;
+        enc_prod w p prod);
+    (match n.pend with
+    | None -> byte w 0
+    | Some pend ->
+        byte w 1;
+        enc_pend w p pend);
+    (match n.hint with
+    | None -> byte w 0
+    | Some h ->
+        byte w 1;
+        byte w (rn p h));
+    byte w n.done_;
+    byte w n.last_seen;
+    enc_bool w n.wbp
+  done;
+  byte w (match st.dir with DU -> 0 | DS -> 1 | DE -> 2 | DBs -> 3 | DBe -> 4 | DD -> 5);
+  byte w (rmask p st.shr);
+  byte w (rn p st.own);
+  byte w (rn p st.req);
+  byte w st.req_tid;
+  byte w st.mem;
+  byte w st.nextv;
+  let count = List.length st.net in
+  byte w count;
+  (if p.identity then enc_in_order w p st.net
+   else
+     let last = ref (-1) in
+     for _ = 1 to count do
+       let k = min_key_above p !last max_int st.net in
+       enc_keyed w p k st.net;
+       last := k
+     done);
   match st.error with
-  | None -> byte buf 0
+  | None -> byte w 0
   | Some e ->
-      byte buf 1;
-      byte buf (String.length e);
-      Buffer.add_string buf e
+      byte w 1;
+      byte w (String.length e);
+      blit w (Bytes.unsafe_of_string e) 0 (String.length e)
 
 (* ------------------------------------------------------------------ *)
 (* Multi-line composition                                               *)
@@ -1323,22 +1512,28 @@ let initial_mstate params = { ls = Array.init params.lines (fun _ -> initial_sta
 let line_label params l label =
   if params.lines > 1 then Printf.sprintf "L%d:%s" l label else label
 
-let line_successors params mst l =
+(* one label table per line, prefixed ["L<l>:"] when [lines > 1] *)
+let line_labels params =
+  Array.init params.lines (fun l ->
+      build_labels ~nodes:params.nodes ~prefix:(line_label params l ""))
+
+let line_successors labels params mst l =
   List.map
     (fun (label, st') ->
-      ( line_label params l label,
-        { ls = Array.mapi (fun i s -> if i = l then st' else s) mst.ls } ))
-    (all_successors ~line:l params mst.ls.(l))
+      let ls = Array.copy mst.ls in
+      ls.(l) <- st';
+      (label, { ls }))
+    (all_successors ~line:l labels.(l) params mst.ls.(l))
 
-let mstate_successors params mst =
-  List.concat (List.init (Array.length mst.ls) (line_successors params mst))
+let mstate_successors labels params mst =
+  List.concat (List.init (Array.length mst.ls) (line_successors labels params mst))
 
 (* Transition groups for POR, in fixed line order.  The checker expands
    the first group offering an unexplored successor; the soundness
    argument (DESIGN.md, "Verification") depends on this order being a
    fixed function of the line index, not of the state. *)
-let mstate_groups params mst =
-  List.init (Array.length mst.ls) (line_successors params mst)
+let mstate_groups labels params mst =
+  List.init (Array.length mst.ls) (line_successors labels params mst)
 
 let mstate_invariants params =
   List.concat
@@ -1365,43 +1560,72 @@ let pp_mstate ppf mst =
   end
 
 (* Canonical representative over the node × line symmetry group: for each
-   admissible node permutation, encode every line (renamed,
-   renormalized), sort the interchangeable line encodings (all lines
-   under the symmetric workload; only same-producer lines under the
+   admissible node permutation, encode every line (renamed in place, see
+   [enc_line]), sort the interchangeable line encodings (all lines under
+   the symmetric workload; only same-producer lines under the
    producer-consumer workload, since distinct producers make lines
    distinguishable), and keep the lexicographically least concatenation
    over all permutations.  Self-delimiting parts and params-determined
-   group sizes keep the concatenation injective. *)
+   group sizes keep the concatenation injective.
+
+   The candidates are built in per-domain scratch writers (the checker
+   encodes from several domains at once); only the winner is copied out. *)
+type scratch = { mutable cur : writer; mutable best : writer; parts : writer }
+
+let scratch = Domain.DLS.new_key (fun () -> { cur = writer (); best = writer (); parts = writer () })
+
+(* line [a]'s part sorts before line [b]'s: by class, then by bytes; line
+   [l]'s part is bytes [start.(l), start.(l + 1)) of [parts] *)
+let part_before line_class parts start a b =
+  let ca = line_class a and cb = line_class b in
+  if ca <> cb then ca < cb
+  else
+    compare_bytes parts.bytes start.(a) (start.(a + 1) - start.(a)) parts.bytes start.(b)
+      (start.(b + 1) - start.(b)) 0
+    < 0
+
 let encode_mstate params =
-  let permutations = model_permutations params in
-  let sort_parts parts =
-    match params.workload with
-    | Symmetric -> List.sort String.compare parts
-    | Producer_consumer ->
-        let k = params.nodes - 1 in
-        let classes = Array.make k [] in
-        List.iteri (fun l part -> classes.(l mod k) <- part :: classes.(l mod k)) parts;
-        Array.to_list classes |> List.concat_map (List.sort String.compare)
+  let perms = Array.of_list (List.map perm_of (model_permutations params)) in
+  (* lines are interchangeable only within a class *)
+  let line_class l =
+    match params.workload with Symmetric -> 0 | Producer_consumer -> l mod (params.nodes - 1)
   in
   fun mst ->
-    let buf = Buffer.create 256 in
-    let encode_with perm st =
-      Buffer.clear buf;
-      enc_line buf (norm (rename_state perm st));
-      Buffer.contents buf
-    in
-    let many = Array.length mst.ls > 1 in
-    let best = ref None in
-    List.iter
-      (fun perm ->
-        let parts = Array.to_list (Array.map (encode_with perm) mst.ls) in
-        let parts = if many then sort_parts parts else parts in
-        let candidate = String.concat "" parts in
-        match !best with
-        | Some b when String.compare b candidate <= 0 -> ()
-        | _ -> best := Some candidate)
-      permutations;
-    Option.get !best
+    let s = Domain.DLS.get scratch in
+    let lines = Array.length mst.ls in
+    let start = Array.make (lines + 1) 0 and order = Array.make lines 0 in
+    for i = 0 to Array.length perms - 1 do
+      let p = perms.(i) and cur = s.cur in
+      cur.len <- 0;
+      if lines = 1 then enc_line cur p mst.ls.(0)
+      else begin
+        let parts = s.parts in
+        parts.len <- 0;
+        for l = 0 to lines - 1 do
+          start.(l) <- parts.len;
+          enc_line parts p mst.ls.(l)
+        done;
+        start.(lines) <- parts.len;
+        (* insertion sort: a handful of lines *)
+        for l = 0 to lines - 1 do
+          let j = ref l in
+          while !j > 0 && part_before line_class parts start l order.(!j - 1) do
+            order.(!j) <- order.(!j - 1);
+            decr j
+          done;
+          order.(!j) <- l
+        done;
+        for k = 0 to lines - 1 do
+          let l = order.(k) in
+          blit cur parts.bytes start.(l) (start.(l + 1) - start.(l))
+        done
+      end;
+      if i = 0 || compare_bytes cur.bytes 0 cur.len s.best.bytes 0 s.best.len 0 < 0 then begin
+        s.cur <- s.best;
+        s.best <- cur
+      end
+    done;
+    Bytes.sub_string s.best.bytes 0 s.best.len
 
 let validate params =
   if params.nodes < 2 || params.nodes > 7 then
@@ -1416,10 +1640,12 @@ let make ?(por = true) params =
 
     let initial = [ initial_mstate params ]
 
-    let successors = mstate_successors params
+    let labels = line_labels params
+
+    let successors = mstate_successors labels params
 
     let por =
-      if por && params.lines > 1 then Some (mstate_groups params) else None
+      if por && params.lines > 1 then Some (mstate_groups labels params) else None
 
     let invariants = mstate_invariants params
 
@@ -1439,13 +1665,18 @@ module Sym = struct
 
   let initial = initial_mstate
 
-  let successors = mstate_successors
+  let successors params = mstate_successors (line_labels params) params
 
   let encode = encode_mstate
 
   let node_permutations = node_permutations
 
   let rename_nodes perm mst = { ls = Array.map (fun st -> norm (rename_state perm st)) mst.ls }
+
+  let encode_renamed perm mst =
+    let w = writer () in
+    Array.iter (enc_line w (perm_of perm)) mst.ls;
+    Bytes.sub_string w.bytes 0 w.len
 
   let permute_lines perm mst = { ls = Array.init (Array.length mst.ls) (fun i -> mst.ls.(perm.(i))) }
 
@@ -1493,7 +1724,7 @@ module Step = struct
 
   let initial = initial_state
 
-  let successors params st = all_successors params st
+  let successors params st = all_successors (step_labels params) params st
 
   let invariants = invariants_list
 

@@ -152,7 +152,14 @@ module Sym : sig
       old id to new id. *)
 
   val rename_nodes : int array -> mstate -> mstate
-  (** Apply one node permutation globally (to every line). *)
+  (** Apply one node permutation globally (to every line), building the
+      renamed state — the reference the in-place encoder is checked
+      against. *)
+
+  val encode_renamed : int array -> mstate -> string
+  (** Every line's encoding under one node permutation, in line order,
+      written in place by the encoder [encode] minimizes over.  Must equal
+      [encode_renamed identity (rename_nodes perm s)]. *)
 
   val permute_lines : int array -> mstate -> mstate
 

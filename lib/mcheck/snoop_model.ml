@@ -27,6 +27,40 @@ type line = {
 
 type state = line array
 
+(* Every transition label, built once per model (successor lists point
+   into these); prefixed ["L<l>:"] when [lines > 1]. *)
+type node_labels = {
+  load_hit : string;
+  load_miss : string;
+  store_hit : string;
+  store_silent_upgrade : string;
+  store_upgrade : string;
+  store_miss : string;
+  evict : string;
+  evict_writeback : string;
+}
+
+let node_labels ~prefix node =
+  let l kind = prefix ^ "n" ^ string_of_int node ^ ":" ^ kind in
+  {
+    load_hit = l "load-hit";
+    load_miss = l "load-miss";
+    store_hit = l "store-hit";
+    store_silent_upgrade = l "store-silent-upgrade";
+    store_upgrade = l "store-upgrade";
+    store_miss = l "store-miss";
+    evict = l "evict";
+    evict_writeback = l "evict-writeback";
+  }
+
+(* decimal digits, the bytes of [Printf.sprintf "%d"] *)
+let rec add_int b v =
+  if v < 0 then Buffer.add_string b (string_of_int v)
+  else begin
+    if v >= 10 then add_int b (v / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (v mod 10)))
+  end
+
 let make ?(por = true) params =
   if params.nodes < 2 || params.nodes > 5 then
     invalid_arg "Snoop_model.make: nodes must be in 2..5";
@@ -101,30 +135,34 @@ let make ?(por = true) params =
       Array.iteri (fun i c -> if i <> node && c <> I then free := false) line.copies;
       !free
 
-    (* Every enabled transition of one line, labeled. *)
-    let line_successors line =
+    let labels =
+      Array.init params.lines (fun l ->
+          let prefix = if params.lines = 1 then "" else "L" ^ string_of_int l ^ ":" in
+          Array.init n (node_labels ~prefix))
+
+    (* Every enabled transition of line [l], labeled. *)
+    let line_successors l line =
       let out = ref [] in
       let add label line' = out := (label, line') :: !out in
       for node = 0 to n - 1 do
+        let names = labels.(l).(node) in
         (if line.remaining.(node) > 0 then begin
            (* load *)
            (match line.copies.(node) with
-           | S v | E v | M v -> add (Printf.sprintf "n%d:load-hit" node) (observe line node v)
+           | S v | E v | M v -> add names.load_hit (observe line node v)
            | I ->
                let line' = snoop_read line in
                let v = line'.mem in
                let fills = if mesi && alone line' node then E v else S v in
-               add
-                 (Printf.sprintf "n%d:load-miss" node)
-                 (observe (set_copy line' node fills) node v));
+               add names.load_miss (observe (set_copy line' node fills) node v));
            (* store *)
            let commit line' =
              let v = line'.vers + 1 in
              observe (set_copy { line' with vers = v } node (M v)) node v
            in
            match line.copies.(node) with
-           | M _ -> add (Printf.sprintf "n%d:store-hit" node) (commit line)
-           | E _ -> add (Printf.sprintf "n%d:store-silent-upgrade" node) (commit line)
+           | M _ -> add names.store_hit (commit line)
+           | E _ -> add names.store_silent_upgrade (commit line)
            | S _ ->
                let line' =
                  if skip_invals then line
@@ -137,21 +175,18 @@ let make ?(por = true) params =
                          line.copies;
                    }
                in
-               add (Printf.sprintf "n%d:store-upgrade" node) (commit line')
-           | I -> add (Printf.sprintf "n%d:store-miss" node) (commit (snoop_write line))
+               add names.store_upgrade (commit line')
+           | I -> add names.store_miss (commit (snoop_write line))
          end);
         (* spontaneous evictions keep capacity pressure in the model *)
         match line.copies.(node) with
         | I -> ()
-        | S _ | E _ -> add (Printf.sprintf "n%d:evict" node) (set_copy line node I)
+        | S _ | E _ -> add names.evict (set_copy line node I)
         | M v ->
-            add
-              (Printf.sprintf "n%d:evict-writeback" node)
+            add names.evict_writeback
               (set_copy { line with mem = v } node I)
       done;
       List.rev !out
-
-    let prefix l label = if params.lines = 1 then label else Printf.sprintf "L%d:%s" l label
 
     let groups state =
       List.init params.lines (fun l ->
@@ -159,8 +194,8 @@ let make ?(por = true) params =
             (fun (label, line') ->
               let state' = Array.copy state in
               state'.(l) <- line';
-              (prefix l label, state'))
-            (line_successors state.(l)))
+              (label, state'))
+            (line_successors l state.(l)))
 
     let successors state = List.concat (groups state)
 
@@ -196,36 +231,45 @@ let make ?(por = true) params =
       ]
 
     let invariants =
-      List.map
-        (fun (name, check) ->
-          ( name,
-            fun state ->
-              let ok = ref true in
-              Array.iter (fun line -> if not (check line) then ok := false) state;
-              !ok ))
-        line_invariants
+      List.map (fun (name, check) -> (name, Array.for_all check)) line_invariants
 
     let is_quiescent state =
       Array.for_all (fun line -> Array.for_all (fun r -> r = 0) line.remaining) state
 
     let encode state =
-      let b = Buffer.create 64 in
-      Array.iter
-        (fun line ->
-          Array.iter
-            (fun c ->
-              match c with
-              | I -> Buffer.add_string b "i;"
-              | S v -> Buffer.add_string b (Printf.sprintf "s%d;" v)
-              | E v -> Buffer.add_string b (Printf.sprintf "e%d;" v)
-              | M v -> Buffer.add_string b (Printf.sprintf "m%d;" v))
-            line.copies;
-          Buffer.add_string b (Printf.sprintf "|%d|%d|" line.mem line.vers);
-          Array.iter (fun r -> Buffer.add_string b (Printf.sprintf "%d," r)) line.remaining;
-          Buffer.add_char b '|';
-          Array.iter (fun s -> Buffer.add_string b (Printf.sprintf "%d," s)) line.seen;
-          Buffer.add_char b '/')
-        state;
+      let b = Buffer.create (Array.length state * ((8 * n) + 16)) in
+      let ints a =
+        for i = 0 to Array.length a - 1 do
+          add_int b a.(i);
+          Buffer.add_char b ','
+        done
+      in
+      for l = 0 to Array.length state - 1 do
+        let line = state.(l) in
+        for i = 0 to n - 1 do
+          (match line.copies.(i) with
+          | I -> Buffer.add_char b 'i'
+          | S v ->
+              Buffer.add_char b 's';
+              add_int b v
+          | E v ->
+              Buffer.add_char b 'e';
+              add_int b v
+          | M v ->
+              Buffer.add_char b 'm';
+              add_int b v);
+          Buffer.add_char b ';'
+        done;
+        Buffer.add_char b '|';
+        add_int b line.mem;
+        Buffer.add_char b '|';
+        add_int b line.vers;
+        Buffer.add_char b '|';
+        ints line.remaining;
+        Buffer.add_char b '|';
+        ints line.seen;
+        Buffer.add_char b '/'
+      done;
       Buffer.contents b
 
     let pp ppf state =

@@ -36,12 +36,9 @@ let check name budget config () =
 (* The model checker's per-state cost: canonical encoding (a symmetry
    orbit walk) plus successor generation plus dedup bookkeeping.  Holding
    this to a budget keeps the 10x-scale explorations (multi-line, 4-5
-   nodes) feasible. *)
-let checker_words_per_state () =
-  let params =
-    { Pcc_mcheck.Protocol_model.default_params with nodes = 3; max_ops_per_node = 1 }
-  in
-  let (module M) = Pcc_mcheck.Protocol_model.make params in
+   nodes) feasible.  The counts are deterministic, so these budgets sit
+   at about 1.25x the measured value (531 and 530 words per state). *)
+let checker_words_per_state (module M : Pcc_mcheck.Checker.MODEL) =
   Gc.full_major ();
   let before = Gc.minor_words () in
   match Pcc_mcheck.Checker.run (module M) () with
@@ -51,15 +48,25 @@ let checker_words_per_state () =
         stats.Pcc_mcheck.Checker.states_explored )
   | _ -> Alcotest.fail "checker baseline must verify clean"
 
-let check_checker budget () =
-  let per_state, states = checker_words_per_state () in
+let check_checker name budget model () =
+  let per_state, states = checker_words_per_state (model ()) in
   if states < 1000 then
-    Alcotest.failf "checker: only %d states — model too small to measure" states;
+    Alcotest.failf "%s: only %d states — model too small to measure" name states;
   if per_state > budget then
     Alcotest.failf
-      "checker: %.0f minor words per explored state exceeds the %.0f-word budget — \
+      "%s: %.0f minor words per explored state exceeds the %.0f-word budget — \
        canonicalization or expansion added allocation"
-      per_state budget
+      name per_state budget
+
+(* adaptive, 3 nodes, 1 op: full delegation and update traffic *)
+let adaptive_model () =
+  Pcc_mcheck.Protocol_model.make
+    { Pcc_mcheck.Protocol_model.default_params with nodes = 3; max_ops_per_node = 1 }
+
+(* bus snooping, MSI, 4 nodes *)
+let snoop_model () =
+  Pcc_mcheck.Snoop_model.make
+    { Pcc_mcheck.Snoop_model.default_params with nodes = 4; variant = Types.Msi }
 
 (* The flight recorder's whole value proposition is that it can stay on
    for every run: the record path must store its four ints and touch the
@@ -137,7 +144,10 @@ let suite =
     Alcotest.test_case "flight record path allocation-free" `Quick check_flight_record;
     Alcotest.test_case "base protocol under budget" `Quick
       (check "base" 500.0 (Config.base ~nodes ()));
-    Alcotest.test_case "model checker under budget" `Quick (check_checker 5_000.0);
+    Alcotest.test_case "model checker under budget" `Quick
+      (check_checker "checker" 665.0 adaptive_model);
+    Alcotest.test_case "snooping model checker under budget" `Quick
+      (check_checker "snoop checker" 665.0 snoop_model);
     Alcotest.test_case "full adaptive machine under budget" `Quick
       (check "full" 500.0 (Config.small_full ~nodes ()));
     Alcotest.test_case "hardened machine under budget" `Quick

@@ -211,17 +211,17 @@ let sym_params =
 
 (* a reachable state, chosen by a deterministic pseudo-random walk: each
    pick indexes into the successor list *)
-let reachable_state picks =
+let reachable_state ?(params = sym_params) picks =
   let rec go state = function
     | [] -> state
     | pick :: rest -> (
-        match Sym.successors sym_params state with
+        match Sym.successors params state with
         | [] -> state
         | succs ->
             let _, next = List.nth succs (abs pick mod List.length succs) in
             go next rest)
   in
-  go (Sym.initial sym_params) picks
+  go (Sym.initial params) picks
 
 let walk_gen = Q.list_of_size (Q.Gen.int_range 0 24) (Q.int_bound 9999)
 
@@ -277,9 +277,31 @@ let prop_distinct_states_hash_distinct =
       then Q.Test.fail_report "distinct observables, same canonical hash";
       true)
 
+(* the encoder renames in place; building the renamed state with
+   [rename_nodes] (rename, then renormalize) must give the same bytes
+   under every permutation.  Four nodes make six permutations. *)
+let prop_in_place_encoding_matches_rename =
+  let params =
+    { Protocol_model.default_params with nodes = 4; lines = 2; max_ops_per_node = 1 }
+  in
+  let identity = Array.init params.Protocol_model.nodes Fun.id in
+  Q.Test.make ~count:60 ~name:"in-place renamed encoding matches rename_nodes" walk_gen
+    (fun picks ->
+      let s = reachable_state ~params picks in
+      List.iter
+        (fun perm ->
+          if
+            not
+              (String.equal (Sym.encode_renamed perm s)
+                 (Sym.encode_renamed identity (Sym.rename_nodes perm s)))
+          then Q.Test.fail_report "in-place renaming differs from rename_nodes")
+        (Sym.node_permutations params.Protocol_model.nodes);
+      true)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_in_place_encoding_matches_rename;
       prop_rename_hash_equal;
       prop_line_permutation_hash_equal;
       prop_rename_verdict_equivalent;
@@ -393,6 +415,70 @@ let test_por_detects_multiline_bug () =
         trace
   | _ -> Alcotest.fail "seeded bug not detected with lines=2"
 
+(* ---------------- label and encoding bytes ---------------- *)
+
+(* Breadth-first walk of [levels] levels from the initial states,
+   deduplicated by [encode], folding MD5 over [label ^ "\000" ^ encode]
+   of every transition in generation order.  Pins every transition label
+   and every encoding byte: a faster encoder or interned label table must
+   reproduce them exactly, or state counts, canonical-hash order and
+   counterexamples could move. *)
+let fingerprint (module M : Checker.MODEL) ~levels =
+  let seen = Hashtbl.create 4096 in
+  let acc = ref (Digest.string "") in
+  let visit frontier st =
+    let e = M.encode st in
+    if Hashtbl.mem seen e then frontier
+    else begin
+      Hashtbl.replace seen e ();
+      st :: frontier
+    end
+  in
+  let rec level k frontier =
+    if k > 0 then
+      level (k - 1)
+        (List.fold_left
+           (fun next st ->
+             List.fold_left
+               (fun next (label, st') ->
+                 acc := Digest.string (!acc ^ label ^ "\000" ^ M.encode st');
+                 visit next st')
+               next (M.successors st))
+           [] (List.rev frontier))
+  in
+  level levels (List.fold_left visit [] M.initial);
+  Digest.to_hex !acc
+
+let fingerprint_cases =
+  [
+    ( "adaptive base 3n",
+      Protocol_model.make
+        { Protocol_model.default_params with enable_delegation = false; enable_updates = false },
+      "2bcd33880b158d8ed862c097bdb0858c" );
+    ( "adaptive full 3n x 2 lines producer-consumer",
+      Protocol_model.make
+        {
+          Protocol_model.default_params with
+          lines = 2;
+          workload = Protocol_model.Producer_consumer;
+        },
+      "5ec082a0e9f0b109262957524b69414d" );
+    ( "mesi 3n x 2 lines",
+      Pcc_mcheck.Snoop_model.make
+        { Pcc_mcheck.Snoop_model.default_params with lines = 2; variant = Pcc_core.Types.Mesi },
+      "83df9565d518a0fd58aaf0c8d5949ed9" );
+    ( "msi 4n",
+      Pcc_mcheck.Snoop_model.make
+        { Pcc_mcheck.Snoop_model.default_params with nodes = 4; variant = Pcc_core.Types.Msi },
+      "d4826ca6ac58a2ef595ee0123230bad1" );
+  ]
+
+let test_fingerprints () =
+  List.iter
+    (fun (name, model, pinned) ->
+      Alcotest.(check string) name pinned (fingerprint model ~levels:6))
+    fingerprint_cases
+
 let suite =
   [
     Alcotest.test_case "engine: ok" `Quick test_checker_ok;
@@ -425,5 +511,6 @@ let suite =
       test_por_preserves_verdict;
     Alcotest.test_case "por: multi-line seeded bug detected" `Slow
       test_por_detects_multiline_bug;
+    Alcotest.test_case "label and encoding bytes pinned" `Quick test_fingerprints;
   ]
   @ qcheck_cases
