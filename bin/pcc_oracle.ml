@@ -244,7 +244,7 @@ let cmd =
       $ Cli_common.protocol
           ~doc:
             "Coherence backend for the sweep: $(b,adaptive) audits base+full with \
-             the differential replay, $(b,msi)/$(b,mesi) run the order tracker and \
+             the differential replay, $(b,msi)/$(b,mesi) run the value checker and \
              statistics identities over the snooping machine." ()
       $ Cli_common.nodes ~default:6 ()
       $ Cli_common.scale ~default:0.15 ~doc:"Run-length scale for app benchmarks." ()

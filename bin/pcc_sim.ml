@@ -49,6 +49,11 @@ let run workload_spec machine protocol nodes scale seed delegate_entries rac_kb
         | Some hop -> Config.with_hop_latency config hop
         | None -> config
       in
+      match Config.validate config with
+      | Error problem ->
+          Printf.eprintf "pcc_sim: invalid machine override: %s\n" problem;
+          2
+      | Ok config ->
       Format.printf "workload=%s machine=%s nodes=%d%s@."
         (Workload.describe workload)
         (Config.describe config) nodes

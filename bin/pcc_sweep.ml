@@ -8,12 +8,18 @@ open Pcc
 open Cmdliner
 
 let apply_knob config knob value =
-  match knob with
-  | "delegate" -> Ok { config with Config.delegate_entries = value }
-  | "rac-kb" -> Ok { config with Config.rac_bytes = value * 1024 }
-  | "delay" -> Ok { config with Config.intervention_delay = value }
-  | "hop" -> Ok (Config.with_hop_latency config value)
-  | other -> Error (Printf.sprintf "unknown knob %S (delegate, rac-kb, delay, hop)" other)
+  let swept =
+    match knob with
+    | "delegate" -> Ok { config with Config.delegate_entries = value }
+    | "rac-kb" -> Ok { config with Config.rac_bytes = value * 1024 }
+    | "delay" -> Ok { config with Config.intervention_delay = value }
+    | "hop" -> Ok (Config.with_hop_latency config value)
+    | other -> Error (Printf.sprintf "unknown knob %S (delegate, rac-kb, delay, hop)" other)
+  in
+  Result.bind swept (fun config ->
+      Result.map_error
+        (Printf.sprintf "invalid --values %d for --knob %s: %s" value knob)
+        (Config.validate config))
 
 let write_json path ~app_name ~workload ~knob ~protocol ~nodes ~scale
     ~(base : System.result) rows =
@@ -59,8 +65,8 @@ let run workload_spec knob values protocol nodes scale seed jobs json_path metri
         List.filter_map (function _, Error m -> Some m | _, Ok _ -> None) configs
       with
       | message :: _ ->
-          prerr_endline message;
-          1
+          prerr_endline ("pcc_sweep: " ^ message);
+          2
       | [] ->
           let configs =
             List.map (function v, Ok c -> (v, c) | _, Error _ -> assert false) configs
@@ -128,11 +134,19 @@ let knob_arg =
     value & opt string "delegate"
     & info [ "k"; "knob" ] ~doc:"Parameter: delegate, rac-kb, delay, hop.")
 
+(* A sweep over no settings would print an empty table and pass: an empty
+   list is a usage error (exit 124). *)
 let values_arg =
+  let parse s =
+    match Arg.conv_parser Arg.(list int) s with
+    | Ok [] -> Error (`Msg "an empty --values list would sweep nothing")
+    | result -> result
+  in
+  let settings = Arg.conv (parse, Arg.conv_printer Arg.(list int)) in
   Arg.(
     value
-    & opt (list int) [ 32; 64; 128; 256; 512; 1024 ]
-    & info [ "values" ] ~doc:"Comma-separated settings.")
+    & opt settings [ 32; 64; 128; 256; 512; 1024 ]
+    & info [ "values" ] ~doc:"Comma-separated settings (at least one).")
 
 let cmd =
   let term =

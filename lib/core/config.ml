@@ -137,6 +137,48 @@ let l2_lines t = t.l2_bytes / t.line_bytes
 
 let rac_lines t = t.rac_bytes / t.line_bytes
 
+let validate t =
+  let sets field ~unit entries ~ways =
+    if entries > 0 && ways > 0 && entries mod ways = 0 then None
+    else
+      Some
+        (Printf.sprintf "%s: %d %s, need a positive multiple of %d ways" field entries unit
+           ways)
+  in
+  let delay field cycles =
+    if cycles >= 0 then None else Some (Printf.sprintf "%s: %d cycles, need at least 0" field cycles)
+  in
+  if t.line_bytes <= 0 then Error (Printf.sprintf "line_bytes: %d, need above 0" t.line_bytes)
+  else
+    match
+      List.find_map Fun.id
+        [
+          sets "l2_bytes" (l2_lines t) ~unit:"lines" ~ways:t.l2_ways;
+          sets "rac_bytes" (rac_lines t) ~unit:"lines" ~ways:t.rac_ways;
+          sets "dir_cache_entries" t.dir_cache_entries ~unit:"entries" ~ways:t.dir_cache_ways;
+          sets "delegate_entries" t.delegate_entries ~unit:"entries" ~ways:t.delegate_ways;
+          delay "l2_hit_latency" t.l2_hit_latency;
+          delay "rac_hit_latency" t.rac_hit_latency;
+          delay "dir_hit_latency" t.dir_hit_latency;
+          delay "dir_miss_latency" t.dir_miss_latency;
+          delay "dram_latency" t.dram_latency;
+          delay "intervention_delay" t.intervention_delay;
+          delay "flush_window" t.flush_window;
+          delay "hub_latency" t.hub_latency;
+          delay "nack_retry_delay" t.nack_retry_delay;
+          delay "barrier_latency" t.barrier_latency;
+          delay "hop_latency" t.network.hop_latency;
+          delay "local_latency" t.network.local_latency;
+          delay "link_rto" t.link_rto;
+          delay "link_rto_cap" t.link_rto_cap;
+          delay "txn_timeout" t.txn_timeout;
+          delay "txn_timeout_cap" t.txn_timeout_cap;
+          delay "crash_detect_delay" t.crash_detect_delay;
+        ]
+    with
+    | None -> Ok t
+    | Some problem -> Error problem
+
 let size_label bytes =
   if bytes >= mib 1 && bytes mod mib 1 = 0 then Printf.sprintf "%dM" (bytes / mib 1)
   else Printf.sprintf "%dK" (bytes / kib 1)

@@ -148,6 +148,13 @@ val l2_lines : t -> int
 
 val rac_lines : t -> int
 
+val validate : t -> (t, string) result
+(** The preconditions the machine's constructors and the event scheduler
+    assert, checked where a configuration enters the program: every cache
+    (L2, RAC, directory cache, delegate tables) has a positive entry
+    count that its ways divide, and every latency and delay is at least
+    0.  [Error] names the first offending field. *)
+
 val describe : t -> string
 (** Short label such as "32-entry deledc & 32K RAC". *)
 

@@ -72,7 +72,6 @@ type t = {
   hub : Message.t Hub_link.t;
   id : Types.node_id;
   stats : Run_stats.t;
-  memcheck : Memory_check.t;
   next_version : unit -> int;
   rng : Pcc_engine.Rng.t;
   crashable : bool;  (* the fault profile schedules fail-stop crashes *)
@@ -466,12 +465,8 @@ let ack_collection_class t p ~acks_expected =
 (* ------------------------------------------------------------------ *)
 
 let commit_load t p ~value ~miss =
-  let now = Sim.now t.sim in
   if not p.poisoned then
     fill_l2 t p.line L2.{ state = Shared; value; dirty = false };
-  ignore
-    (Memory_check.load_committed t.memcheck p.line ~value ~started:p.started ~time:now);
-  Run_stats.record_miss t.stats miss ~line:p.line ~latency:(now - p.started);
   t.pending <- None;
   Probe.commit t.probe ~node:t.id ~kind:Types.Load ~line:p.line ~value
     ~started:p.started ~l2_hit:false ~miss:(Some miss);
@@ -493,7 +488,6 @@ let note_producer_write t line =
       if entry.after_busy <> No_recall then flush_round_done t line entry)
 
 let rec commit_store t p =
-  let now = Sim.now t.sim in
   let version = t.next_version () in
   (* gaining exclusivity invalidates any stale private RAC copy; a
      delegated line instead keeps its pinned RAC backing entry *)
@@ -501,13 +495,11 @@ let rec commit_store t p =
   | Some rac, None -> Rac.invalidate rac p.line
   | Some _, Some _ | None, _ -> ());
   fill_l2 t p.line L2.{ state = Exclusive; value = version; dirty = true };
-  Memory_check.store_committed t.memcheck p.line ~node:t.id ~value:version ~time:now;
   let miss =
     match p.miss_override with
     | Some m -> m
     | None -> classify_legs t ~target:p.target ~reply_src:p.reply_src
   in
-  Run_stats.record_miss t.stats miss ~line:p.line ~latency:(now - p.started);
   t.pending <- None;
   Probe.commit t.probe ~node:t.id ~kind:Types.Store ~line:p.line ~value:version
     ~started:p.started ~l2_hit:false ~miss:(Some miss);
@@ -1346,9 +1338,6 @@ let submit t ~kind ~line ~on_commit =
   | Some entry, Types.Load ->
       t.stats.l2_hits <- t.stats.l2_hits + 1;
       sched t ~delay:t.config.l2_hit_latency (fun () ->
-          ignore
-            (Memory_check.load_committed t.memcheck line ~value:entry.value ~started
-               ~time:(Sim.now t.sim));
           Probe.commit t.probe ~node:t.id ~kind:Types.Load ~line ~value:entry.value
             ~started ~l2_hit:true ~miss:None;
           on_commit ())
@@ -1359,8 +1348,6 @@ let submit t ~kind ~line ~on_commit =
           | Some L2.{ state = Exclusive; _ } ->
               let version = t.next_version () in
               L2.set t.l2 line L2.{ state = Exclusive; value = version; dirty = true };
-              Memory_check.store_committed t.memcheck line ~node:t.id ~value:version
-                ~time:(Sim.now t.sim);
               (match find_producer t line with
               | Some entry ->
                   entry.last_write <- Sim.now t.sim;
@@ -1379,8 +1366,7 @@ let submit t ~kind ~line ~on_commit =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let create ?alive_view ~probe ~config ~sim ~network ~id ~stats ~memcheck
-    ~next_version ~rng () =
+let create ?alive_view ~probe ~config ~sim ~network ~id ~stats ~next_version ~rng () =
   let open Config in
   if config.speculative_updates && not config.rac_enabled then
     invalid_arg "Node.create: speculative updates require a RAC";
@@ -1429,7 +1415,6 @@ let create ?alive_view ~probe ~config ~sim ~network ~id ~stats ~memcheck
       hub;
       id;
       stats;
-      memcheck;
       next_version;
       rng;
       crashable = Config.crash_capable config;

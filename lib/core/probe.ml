@@ -19,6 +19,7 @@ type msg_observer =
 type t = {
   sim : Sim.t;
   stats : Run_stats.t;
+  memcheck : Memory_check.t;
   flight : Flight_ring.t;
   class_cells : int ref option array;
       (* cached [stats.message_classes] cells, indexed by
@@ -36,10 +37,11 @@ type t = {
     (time:int -> node:Types.node_id -> phase:crash_phase -> unit) list;
 }
 
-let create ~sim ~stats =
+let create ~sim ~stats ~memcheck =
   {
     sim;
     stats;
+    memcheck;
     flight = Flight_ring.create ();
     class_cells = Array.make Message.class_count None;
     sends = [];
@@ -136,6 +138,13 @@ let issue t ~node ~kind ~line =
 
 let commit t ~node ~kind ~line ~value ~started ~l2_hit ~miss =
   let time = Sim.now t.sim in
+  (match kind with
+  | Types.Load ->
+      ignore (Memory_check.load_committed t.memcheck ~node line ~value ~started ~time)
+  | Types.Store -> Memory_check.store_committed t.memcheck ~node line ~value ~time);
+  (match miss with
+  | Some m -> Run_stats.record_miss t.stats m ~line ~latency:(time - started)
+  | None -> ());
   Flight_ring.record t.flight ~time ~kind:Flight_ring.k_commit ~detail:(op_code kind)
     ~src:node ~dst:node ~line ~arg:value;
   match t.commits with

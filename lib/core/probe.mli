@@ -7,7 +7,9 @@
     emitter writes the event into the always-on {!Flight_ring} and then
     calls that kind's subscribers in registration order, so the flight
     recorder, the oracle, telemetry spans and benchmark ledgers all read
-    one event stream.
+    one event stream.  The per-location coherence checker
+    ({!Memory_check}) and the miss accounting read the commit stream
+    here too, ahead of any subscriber.
 
     {!System.create} builds one probe per machine and hands it to the
     backend's node constructors; its [on_*] registrations are the
@@ -37,10 +39,11 @@ type crash_phase = Crash_down | Crash_detected | Crash_restarted
 
 type t
 
-val create : sim:Pcc_engine.Simulator.t -> stats:Run_stats.t -> t
+val create :
+  sim:Pcc_engine.Simulator.t -> stats:Run_stats.t -> memcheck:Memory_check.t -> t
 (** A probe with a fresh flight ring and no subscribers.  Event times
-    are read from [sim]; per-class message counts go to
-    [stats.message_classes]. *)
+    are read from [sim]; per-class message counts and miss latencies go
+    to [stats]; every commit is checked by [memcheck]. *)
 
 val flight : t -> Flight_ring.t
 
@@ -66,7 +69,11 @@ val commit :
   t -> node:Types.node_id -> kind:Types.op_kind -> line:Types.line -> value:int ->
   started:int -> l2_hit:bool -> miss:Types.miss_class option -> unit
 (** A processor operation commits, after its cache effects and before
-    the processor's continuation runs. *)
+    the processor's continuation runs.  Before the ring record and the
+    subscribers, the operation is checked by the probe's
+    {!Memory_check}, and a miss ([miss = Some m]) is recorded in the run
+    statistics with latency [now - started]: the backends call neither
+    themselves. *)
 
 val retransmit : t -> src:Types.node_id -> dst:Types.node_id -> unit
 (** A hub-link retransmission on the [src -> dst] link.  {!hub_link}

@@ -15,12 +15,13 @@
     To add a backend: implement {!S} and build your nodes around the
     shared probe — emit every send, issue and commit through {!Probe},
     and take hub links from {!Probe.hub_link}, which emits deliveries
-    and retransmissions — over the shared
-    [sim]/[network]/[stats]/[memcheck] plumbing, the way
-    {!Snoop.create_machine} does.  Give it a {!kind} constructor and
-    teach {!System.create} to pack it.  Everything that only consumes
-    {!S} or the probe — the run loop, watchdog, gauges, observers,
-    flight recorder, stall reports — comes for free. *)
+    and retransmissions — over the shared [sim]/[network]/[stats]
+    plumbing, the way {!Snoop.create_machine} does.  Give it a {!kind}
+    constructor and teach {!System.create} to pack it.  Everything that
+    only consumes {!S} or the probe — the run loop, watchdog, gauges,
+    observers, flight recorder, stall reports, and {!Probe.commit}'s
+    per-location coherence check and miss accounting — comes for
+    free. *)
 
 type kind = Types.protocol = Adaptive | Msi | Mesi
 

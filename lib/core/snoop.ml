@@ -33,7 +33,6 @@ type t = {
   hub : Message.t Hub_link.t;
   id : Types.node_id;
   stats : Run_stats.t;
-  memcheck : Memory_check.t;
   next_version : unit -> int;
   l2 : L2.t;
   dram : Pcc_memory.Dram.t;
@@ -210,7 +209,6 @@ and try_complete t p =
   end
 
 and commit t p =
-  let now = Sim.now t.sim in
   let miss =
     (* the bus is one shared hop: a transaction whose data came from the
        requester's own memory is local, everything else is the 2-hop
@@ -231,14 +229,6 @@ and commit t p =
         L2.set t.l2 p.line L2.{ state = Exclusive; value = version; dirty = true };
         version
   in
-  (match p.kind with
-  | Types.Load ->
-      ignore
-        (Memory_check.load_committed t.memcheck p.line ~value ~started:p.started
-           ~time:now)
-  | Types.Store ->
-      Memory_check.store_committed t.memcheck p.line ~node:t.id ~value ~time:now);
-  Run_stats.record_miss t.stats miss ~line:p.line ~latency:(now - p.started);
   t.pending <- None;
   release_bus t;
   Probe.commit t.probe ~node:t.id ~kind:p.kind ~line:p.line ~value ~started:p.started
@@ -420,9 +410,6 @@ let submit t ~kind ~line ~on_commit =
   | Some entry, Types.Load ->
       t.stats.l2_hits <- t.stats.l2_hits + 1;
       Sim.schedule t.sim ~delay:t.config.l2_hit_latency (fun () ->
-          ignore
-            (Memory_check.load_committed t.memcheck line ~value:entry.value ~started
-               ~time:(Sim.now t.sim));
           Probe.commit t.probe ~node:t.id ~kind:Types.Load ~line ~value:entry.value
             ~started ~l2_hit:true ~miss:None;
           on_commit ())
@@ -434,8 +421,6 @@ let submit t ~kind ~line ~on_commit =
               (* M hit, or MESI's silent E->M upgrade *)
               let version = t.next_version () in
               L2.set t.l2 line L2.{ state = Exclusive; value = version; dirty = true };
-              Memory_check.store_committed t.memcheck line ~node:t.id ~value:version
-                ~time:(Sim.now t.sim);
               Probe.commit t.probe ~node:t.id ~kind:Types.Store ~line ~value:version
                 ~started ~l2_hit:true ~miss:None;
               on_commit ()
@@ -449,8 +434,7 @@ let submit t ~kind ~line ~on_commit =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let create_node ~probe ~config ~sim ~network ~id ~stats ~memcheck ~next_version ~rng
-    ~bus () =
+let create_node ~probe ~config ~sim ~network ~id ~stats ~next_version ~rng ~bus () =
   let l2 =
     L2.create ~rng:(Pcc_engine.Rng.split rng) ~lines:(Config.l2_lines config)
       ~ways:config.l2_ways ()
@@ -467,7 +451,6 @@ let create_node ~probe ~config ~sim ~network ~id ~stats ~memcheck ~next_version 
       hub;
       id;
       stats;
-      memcheck;
       next_version;
       l2;
       dram = Pcc_memory.Dram.create ~latency:config.dram_latency ();
@@ -481,8 +464,8 @@ let create_node ~probe ~config ~sim ~network ~id ~stats ~memcheck ~next_version 
   handler := (fun ~src msg -> handle_message t ~src msg);
   t
 
-let create_machine ~probe ~(config : Config.t) ~sim ~network ~stats ~memcheck
-    ~next_version ~rng () =
+let create_machine ~probe ~(config : Config.t) ~sim ~network ~stats ~next_version ~rng
+    () =
   if config.protocol = Types.Adaptive then
     invalid_arg "Snoop.create_machine: adaptive config on the snooping backend";
   if Config.crash_capable config then
@@ -497,7 +480,7 @@ let create_machine ~probe ~(config : Config.t) ~sim ~network ~stats ~memcheck
   in
   let nodes =
     Array.init config.nodes (fun id ->
-        create_node ~probe ~config ~sim ~network ~id ~stats ~memcheck ~next_version
+        create_node ~probe ~config ~sim ~network ~id ~stats ~next_version
           ~rng:(Pcc_engine.Rng.split rng)
           ~bus ())
   in

@@ -169,7 +169,7 @@ let create ~(config : Config.t) () =
   let topology = Topology.fat_tree ~nodes:config.nodes ~radix:8 in
   let network = Network.create ?faults:config.net_faults sim topology config.network in
   let stats = Run_stats.create () in
-  let memcheck = Memory_check.create () in
+  let memcheck = Memory_check.create ~nodes:config.nodes in
   let version = ref 0 in
   let next_version () =
     incr version;
@@ -177,22 +177,21 @@ let create ~(config : Config.t) () =
   in
   let rng = Pcc_engine.Rng.create ~seed:config.seed in
   let alive_view = Array.make config.nodes true in
-  let probe = Probe.create ~sim ~stats in
+  let probe = Probe.create ~sim ~stats ~memcheck in
   let backend, adaptive_nodes =
     match config.protocol with
     | Types.Adaptive ->
         let nodes =
           Array.init config.nodes (fun id ->
               Node.create ~alive_view ~probe ~config ~sim ~network ~id ~stats
-                ~memcheck ~next_version
+                ~next_version
                 ~rng:(Pcc_engine.Rng.split rng)
                 ())
         in
         (Protocol.Pack ((module Protocol.Adaptive_backend), nodes), Some nodes)
     | Types.Msi | Types.Mesi ->
         let nodes =
-          Snoop.create_machine ~probe ~config ~sim ~network ~stats ~memcheck
-            ~next_version ~rng ()
+          Snoop.create_machine ~probe ~config ~sim ~network ~stats ~next_version ~rng ()
         in
         (Protocol.Pack ((module Snoop.Backend), nodes), None)
   in

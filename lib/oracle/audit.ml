@@ -5,7 +5,6 @@ exception Violation of { message : string; time : int }
 
 type t = {
   sys : System.t;
-  order : Order.t;
   dirty : (Types.line, unit) Hashtbl.t;
   mutable events_count : int;
 }
@@ -17,8 +16,8 @@ let describe_line line =
   Printf.sprintf "%d@%d" (Types.Layout.index_of_line line)
     (Types.Layout.home_of_line line)
 
-let raise_violation t message =
-  raise (Violation { message; time = Sim.now (System.sim t.sys) })
+let raise_violation sys message =
+  raise (Violation { message; time = Sim.now (System.sim sys) })
 
 (* ------------------------------------------------------------------ *)
 (* Per-line structural invariants                                      *)
@@ -170,7 +169,7 @@ let check_lines t lines =
     (fun line ->
       match check_line t line with
       | [] -> ()
-      | errors -> raise_violation t (String.concat "; " errors))
+      | errors -> raise_violation t.sys (String.concat "; " errors))
     lines
 
 let known_lines t =
@@ -200,30 +199,18 @@ let on_post_event t () =
   end;
   if t.events_count mod sweep_interval = 0 then check_all t
 
+(* The probe runs the memory checker on every commit before any observer
+   sees it, so the first flagged commit stops the run right there. *)
+let stop_on_value_violation sys =
+  System.on_commit sys (fun _ ->
+      if System.violations sys > 0 then
+        raise_violation sys (String.concat "; " (System.violation_report sys)))
+
 let attach sys =
-  let t = { sys; order = Order.create (); dirty = Hashtbl.create 64; events_count = 0 } in
+  let t = { sys; dirty = Hashtbl.create 64; events_count = 0 } in
   System.on_message sys (fun ~time:_ ~src:_ ~dst:_ msg ->
       Hashtbl.replace t.dirty (Message.line_of msg) ());
-  System.on_commit sys (fun (c : Probe.commit_event) ->
-      Hashtbl.replace t.dirty c.c_line ();
-      try
-        match c.c_kind with
-        | Types.Store ->
-            Order.record_store t.order ~node:c.c_node ~line:c.c_line ~value:c.c_value
-              ~time:c.c_time
-        | Types.Load ->
-            Order.record_load t.order ~node:c.c_node ~line:c.c_line ~value:c.c_value
-              ~started:c.c_started ~time:c.c_time
-      with Order.Violation message -> raise_violation t message);
-  System.on_crash sys (fun ~time:_ ~node ~phase ->
-      (* detection fires after the recovery sweep, so the surviving value
-         the order oracle rolls back to is the one recovery installed *)
-      match phase with
-      | System.Crash_detected ->
-          Order.node_crashed t.order ~dead:node ~surviving:(fun line ->
-              Node.surviving_value (System.nodes sys) line)
-      | System.Crash_down | System.Crash_restarted -> ());
+  System.on_commit sys (fun (c : Probe.commit_event) -> Hashtbl.replace t.dirty c.c_line ());
+  stop_on_value_violation sys;
   System.on_post_event sys (fun () -> on_post_event t ());
   t
-
-let order t = t.order

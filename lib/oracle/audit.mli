@@ -26,8 +26,11 @@
       shared phase: holders are covered by the producer's vector and
       match its RAC backing value.
 
-    The commit stream is additionally fed to an {!Order} checker (store
-    serialization, per-node monotonicity, load-window legality).
+    The per-location value axioms (store serialization, per-node
+    monotonicity, load-window legality) are checked by the system's own
+    {!Pcc_core.Memory_check}, which the probe runs on every commit before
+    any observer; the auditor stops the run at the first commit it flags
+    ({!stop_on_value_violation}).
 
     Cost is kept off the critical path by auditing incrementally: message
     and commit hooks mark the affected lines dirty, and the post-event
@@ -48,9 +51,12 @@ val attach : System.t -> t
 (** Register the auditor's observers on a freshly created system.  Every
     10,000 simulator events it also sweeps all known lines. *)
 
-val order : t -> Order.t
-(** The per-address order checker fed by this auditor (for linearization
-    after the run). *)
+val stop_on_value_violation : System.t -> unit
+(** Raise {!Violation} from the first commit of [sys] that
+    {!Pcc_core.System.violations} counts, carrying the checker's report.
+    Backend-agnostic; {!attach} installs it, and {!Runner} installs it
+    alone on the snooping backends, whose internals the structural
+    auditor cannot read. *)
 
 val check_all : t -> unit
 (** Sweep every line known to any cache, directory, or producer table;

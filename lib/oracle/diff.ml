@@ -192,7 +192,7 @@ let replay_line ~rng ~chaos ~step_budget ~(config : Config.t) ~sys ~order ~line
     diverged "directory still in a transient state after the final drain";
   let nstores = Order.store_count order line in
   if !stores_done <> nstores then
-    diverged "replayed %d stores but the order checker recorded %d" !stores_done nstores;
+    diverged "replayed %d stores but the history recorded %d" !stores_done nstores;
   if Step.store_count stf <> nstores then
     diverged "model finished with %d stores, simulator committed %d"
       (Step.store_count stf) nstores;

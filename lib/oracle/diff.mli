@@ -2,9 +2,9 @@
 
     The simulator and {!Pcc_mcheck.Protocol_model} implement the same
     protocol twice, independently.  This driver connects them: after a
-    simulated run, the {!Order} checker has already established a legal
-    serial order per line (stores in version order, each load attached to
-    the store it observed).  We replay that serial order through the
+    simulated run that {!Pcc_core.Memory_check} passed, the {!Order}
+    history linearizes into a legal serial order per line (stores in
+    version order, each load attached to the store it observed).  We replay that serial order through the
     model's transition system ({!Pcc_mcheck.Protocol_model.Step}), one
     line at a time:
 
@@ -56,7 +56,7 @@ val replay :
     400) against the model.  [chaos] (default 0.25) is the probability of
     preferring a spontaneous transition over a delivery while draining;
     [step_budget] (default 20000) bounds each drain before the line is
-    declared stuck.  [sys] must be the (quiesced) system the order was
+    declared stuck.  [sys] must be the (quiesced) system the history was
     recorded from — its config selects the model's feature set and its
     final state provides the authoritative value comparison. *)
 

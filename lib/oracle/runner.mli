@@ -1,10 +1,12 @@
 (** One oracle-checked run, end to end.
 
     Builds the system a {!Trace.run_desc} describes, attaches the online
-    {!Audit}, executes the workload, and — when the run survives the
-    online checks — applies the post-run layers: the quiescent structural
-    invariants, the {!Stats_check} identities, and (optionally) the
-    {!Diff} replay against the model checker. *)
+    {!Audit} (on a snooping backend only its value-order stop), executes
+    the workload, and — when the run survives the online checks — applies
+    the post-run layers: the quiescent structural invariants, the
+    {!Stats_check} identities, and (optionally, adaptive backend only)
+    the {!Diff} replay against the model checker.  The {!Order} history
+    the replay needs is recorded only when the replay will run. *)
 
 open Pcc_core
 

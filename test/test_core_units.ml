@@ -246,35 +246,35 @@ let test_directory_reset_predictor () =
 (* ---------------- Memory check ---------------- *)
 
 let test_memcheck_accepts_current () =
-  let m = Memory_check.create () in
-  Memory_check.store_committed m 1 ~value:10 ~time:100;
+  let m = Memory_check.create ~nodes:2 in
+  Memory_check.store_committed m ~node:0 1 ~value:10 ~time:100;
   Alcotest.(check bool) "current value ok" true
-    (Memory_check.load_committed m 1 ~value:10 ~started:150 ~time:200);
+    (Memory_check.load_committed m ~node:1 1 ~value:10 ~started:150 ~time:200);
   Alcotest.(check int) "no violations" 0 (Memory_check.violations m)
 
 let test_memcheck_accepts_overlap () =
-  let m = Memory_check.create () in
-  Memory_check.store_committed m 1 ~value:10 ~time:100;
-  Memory_check.store_committed m 1 ~value:20 ~time:180;
+  let m = Memory_check.create ~nodes:2 in
+  Memory_check.store_committed m ~node:0 1 ~value:10 ~time:100;
+  Memory_check.store_committed m ~node:0 1 ~value:20 ~time:180;
   (* a load in flight over the second store may return either value *)
   Alcotest.(check bool) "old overlapping ok" true
-    (Memory_check.load_committed m 1 ~value:10 ~started:150 ~time:220);
+    (Memory_check.load_committed m ~node:1 1 ~value:10 ~started:150 ~time:220);
   Alcotest.(check bool) "new ok" true
-    (Memory_check.load_committed m 1 ~value:20 ~started:150 ~time:220)
+    (Memory_check.load_committed m ~node:1 1 ~value:20 ~started:150 ~time:220)
 
 let test_memcheck_rejects_stale () =
-  let m = Memory_check.create () in
-  Memory_check.store_committed m 1 ~value:10 ~time:100;
-  Memory_check.store_committed m 1 ~value:20 ~time:150;
+  let m = Memory_check.create ~nodes:2 in
+  Memory_check.store_committed m ~node:0 1 ~value:10 ~time:100;
+  Memory_check.store_committed m ~node:0 1 ~value:20 ~time:150;
   Alcotest.(check bool) "stale rejected" false
-    (Memory_check.load_committed m 1 ~value:10 ~started:200 ~time:250);
+    (Memory_check.load_committed m ~node:1 1 ~value:10 ~started:200 ~time:250);
   Alcotest.(check int) "violation recorded" 1 (Memory_check.violations m);
   Alcotest.(check bool) "report produced" true (Memory_check.violation_report m <> [])
 
 let test_memcheck_initial_zero () =
-  let m = Memory_check.create () in
+  let m = Memory_check.create ~nodes:2 in
   Alcotest.(check bool) "zero-initialized memory" true
-    (Memory_check.load_committed m 5 ~value:0 ~started:0 ~time:10)
+    (Memory_check.load_committed m ~node:1 5 ~value:0 ~started:0 ~time:10)
 
 (* ---------------- Message ---------------- *)
 
@@ -350,6 +350,29 @@ let test_config_hop_latency () =
   let c = Config.with_hop_latency (Config.base ()) 50 in
   Alcotest.(check int) "hop set" 50 c.Config.network.Pcc_interconnect.Network.hop_latency
 
+(* Every preset is valid; each rejection names the offending field. *)
+let test_config_validate () =
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) (Config.describe c ^ " valid") true (Config.validate c = Ok c))
+    [ Config.base (); Config.small_full (); Config.large_full (); Config.snoop Types.Mesi () ];
+  let small = Config.small_full () in
+  List.iter
+    (fun (field, config) ->
+      match Config.validate config with
+      | Ok _ -> Alcotest.failf "%s: accepted" field
+      | Error message ->
+          Alcotest.(check bool) (field ^ " named") true
+            (String.starts_with ~prefix:(field ^ ":") message))
+    [
+      ("delegate_entries", { small with Config.delegate_entries = 3 });
+      ("delegate_entries", { small with Config.delegate_entries = -4 });
+      ("rac_bytes", { small with Config.rac_bytes = 0 });
+      ("l2_bytes", { small with Config.l2_ways = 0 });
+      ("intervention_delay", { small with Config.intervention_delay = -5 });
+      ("hop_latency", Config.with_hop_latency small (-1));
+    ]
+
 let test_hw_cost_small_config () =
   (* §3.3.1: 32-entry tables + 32KB RAC + 8KB predictor bits ~ 40KB *)
   let small = Config.small_full () in
@@ -398,5 +421,6 @@ let suite =
     Alcotest.test_case "config presets" `Quick test_config_presets;
     Alcotest.test_case "config describe" `Quick test_config_describe;
     Alcotest.test_case "config hop latency" `Quick test_config_hop_latency;
+    Alcotest.test_case "config validate" `Quick test_config_validate;
     Alcotest.test_case "hw cost (§3.3.1)" `Quick test_hw_cost_small_config;
   ]

@@ -4,7 +4,7 @@
    revoked to the base protocol without stalling its consumers; a victim
    that never restarts must not block the survivors; crash schedules must
    stay bit-identical across experiment-pool widths; and the value
-   oracles must accept exactly the rollback fail-stop recovery performs. *)
+   checker must accept exactly the rollback fail-stop recovery performs. *)
 
 open Pcc_core
 module Fault = Pcc_interconnect.Fault
@@ -245,40 +245,47 @@ let test_crash_sweep_pool_width_bit_identity () =
         Alcotest.failf "crash sweep cell %d diverged between pool widths:\n%s\n%s" i s p)
     (List.combine sequential parallel)
 
-(* ---------------- oracle rollback units ---------------- *)
+(* ---------------- checker rollback units ---------------- *)
 
-(* The per-location SC checker must accept exactly the rollback recovery
+(* The per-location checker must accept exactly the rollback recovery
    performs: reading the surviving value after the victim's newer store
    vanished is legal, and only the victim's lost stores are forgiven. *)
 let test_memcheck_crash_forget () =
-  let m = Memory_check.create () in
+  let m = Memory_check.create ~nodes:4 in
   Memory_check.store_committed m ~node:1 1 ~value:10 ~time:100;
   Memory_check.store_committed m ~node:2 1 ~value:20 ~time:200;
   Alcotest.(check bool) "lost version illegal before recovery" false
-    (Memory_check.load_committed m 1 ~value:10 ~started:300 ~time:350);
+    (Memory_check.load_committed m ~node:3 1 ~value:10 ~started:300 ~time:350);
   Memory_check.crash_forget m ~dead:2 ~surviving:(fun _ -> 10);
   Alcotest.(check bool) "surviving value legal after rollback" true
-    (Memory_check.load_committed m 1 ~value:10 ~started:400 ~time:450);
+    (Memory_check.load_committed m ~node:3 1 ~value:10 ~started:400 ~time:450);
   (* a survivor's store above the surviving value is never expunged *)
-  let m2 = Memory_check.create () in
+  let m2 = Memory_check.create ~nodes:4 in
   Memory_check.store_committed m2 ~node:1 1 ~value:10 ~time:100;
   Memory_check.store_committed m2 ~node:3 1 ~value:20 ~time:200;
   Memory_check.crash_forget m2 ~dead:2 ~surviving:(fun _ -> 10);
   Alcotest.(check bool) "survivor's store still current" true
-    (Memory_check.load_committed m2 1 ~value:20 ~started:300 ~time:350)
+    (Memory_check.load_committed m2 ~node:0 1 ~value:20 ~started:300 ~time:350)
 
+(* The per-node order axioms across a crash: a survivor that had seen the
+   lost version may re-read the rolled-back value, the victim's fresh
+   incarnation starts with no observation history, and the lost store no
+   longer anchors the line's order. *)
 let test_order_node_crashed () =
-  let o = Oracle.Order.create () in
-  Oracle.Order.record_store o ~node:1 ~line:1 ~value:10 ~time:100;
-  Oracle.Order.record_store o ~node:2 ~line:1 ~value:20 ~time:200;
-  Oracle.Order.record_load o ~node:0 ~line:1 ~value:20 ~started:210 ~time:250;
-  Oracle.Order.node_crashed o ~dead:2 ~surviving:(fun _ -> 10);
+  let m = Memory_check.create ~nodes:4 in
+  Memory_check.store_committed m ~node:1 1 ~value:10 ~time:100;
+  Memory_check.store_committed m ~node:2 1 ~value:20 ~time:200;
+  Alcotest.(check bool) "lost version observed" true
+    (Memory_check.load_committed m ~node:0 1 ~value:20 ~started:210 ~time:250);
+  Memory_check.crash_forget m ~dead:2 ~surviving:(fun _ -> 10);
   (* node 0 re-reading the rolled-back value is not a regression *)
-  Oracle.Order.record_load o ~node:0 ~line:1 ~value:10 ~started:300 ~time:350;
-  (* the victim's fresh incarnation starts with no observation history *)
-  Oracle.Order.record_load o ~node:2 ~line:1 ~value:10 ~started:300 ~time:360;
-  Alcotest.(check int) "lost store no longer anchors the order" 10
-    (Oracle.Order.last_store o 1)
+  Alcotest.(check bool) "survivor re-reads the surviving value" true
+    (Memory_check.load_committed m ~node:0 1 ~value:10 ~started:300 ~time:350);
+  Alcotest.(check bool) "victim's fresh incarnation reads it" true
+    (Memory_check.load_committed m ~node:2 1 ~value:10 ~started:300 ~time:360);
+  Alcotest.(check int) "no violations" 0 (Memory_check.violations m);
+  Alcotest.(check bool) "lost store no longer anchors the order" false
+    (Memory_check.load_committed m ~node:3 1 ~value:20 ~started:400 ~time:410)
 
 let suite =
   [

@@ -1,6 +1,6 @@
 (* The oracle subsystem's own tests: the JSONL codec and trace artifacts
-   round-trip, the order checker accepts legal histories and rejects
-   illegal ones, the online auditor catches the injected protocol fault,
+   round-trip, the per-location checker accepts legal histories and
+   rejects illegal ones, the commit history linearizes, the online auditor catches the injected protocol fault,
    and — the headline property — oracle-checked runs of every benchmark
    come back clean, including the differential replay against the model
    checker. *)
@@ -74,18 +74,122 @@ let test_trace_roundtrip () =
   | Ok d -> Alcotest.(check bool) "flight window round-trips" true (d = flight)
   | Error e -> Alcotest.failf "Flight.load: %s" e
 
-(* ---------------- order checker ---------------- *)
+(* ---------------- per-location coherence checker ---------------- *)
 
-let test_order_accepts_legal () =
+(* The per-location SC axioms live in [Memory_check] alone.  Each row is
+   one history on one line; every step says whether the checker must
+   accept it (no new violation) or flag it (exactly one). *)
+type step =
+  | St of { node : int; value : int; time : int }
+  | Ld of { node : int; value : int; started : int; time : int }
+  | Crash of { dead : int; surviving : int }
+
+let ok step = (step, true)
+
+let bad step = (step, false)
+
+let memcheck_cases =
+  [
+    ( "order: accepts a legal history",
+      [
+        ok (Ld { node = 2; value = 0; started = 1; time = 5 });
+        ok (St { node = 1; value = 10; time = 10 });
+        ok (Ld { node = 2; value = 10; started = 12; time = 15 });
+        ok (St { node = 1; value = 20; time = 20 });
+        (* started before the second store committed: still a legal window *)
+        ok (Ld { node = 3; value = 10; started = 18; time = 25 });
+        ok (Ld { node = 2; value = 20; started = 21; time = 26 });
+      ] );
+    ( "order: rejects a stale read",
+      [
+        ok (St { node = 0; value = 7; time = 10 });
+        ok (St { node = 0; value = 9; time = 20 });
+        (* started after version 9 committed, yet returned version 7 *)
+        bad (Ld { node = 2; value = 7; started = 30; time = 35 });
+      ] );
+    (* coRR: legal window on its own (started before store 6), but node 3
+       already observed the newer version *)
+    ( "order: rejects non-monotone observation",
+      [
+        ok (St { node = 0; value = 5; time = 10 });
+        ok (St { node = 0; value = 6; time = 20 });
+        ok (Ld { node = 3; value = 6; started = 25; time = 30 });
+        bad (Ld { node = 3; value = 5; started = 5; time = 40 });
+      ] );
+    ( "order: rejects coWR: a read older than its own store",
+      [
+        ok (St { node = 2; value = 5; time = 10 });
+        ok (St { node = 1; value = 6; time = 20 });
+        bad (Ld { node = 1; value = 5; started = 5; time = 30 });
+      ] );
+    ( "order: rejects coWW: a store below the newest version",
+      [ ok (St { node = 1; value = 5; time = 10 }); bad (St { node = 2; value = 4; time = 20 }) ]
+    );
+    ( "order: rejects an unknown value",
+      [
+        ok (St { node = 1; value = 3; time = 10 });
+        bad (Ld { node = 2; value = 4; started = 11; time = 12 });
+      ] );
+    ( "order: rejects the initial value after the first store",
+      [
+        ok (Ld { node = 2; value = 0; started = 1; time = 5 });
+        ok (St { node = 1; value = 3; time = 10 });
+        bad (Ld { node = 3; value = 0; started = 11; time = 12 });
+      ] );
+    (* the victim overwrote the line more times than the 32-store window
+       holds: the roll-back empties the window, and the surviving value
+       becomes the line's baseline *)
+    ( "order: forgives a rollback deeper than the window",
+      (ok (St { node = 1; value = 10; time = 100 })
+      :: List.init 40 (fun i -> ok (St { node = 2; value = 11 + i; time = 200 + i })))
+      @ [
+          ok (Crash { dead = 2; surviving = 10 });
+          ok (Ld { node = 0; value = 10; started = 300; time = 350 });
+          bad (Ld { node = 0; value = 30; started = 360; time = 370 });
+        ] );
+    (* a survivor's store above the surviving value is never expunged *)
+    ( "order: keeps a survivor's store across a crash",
+      [
+        ok (St { node = 1; value = 10; time = 100 });
+        ok (St { node = 3; value = 20; time = 200 });
+        ok (Crash { dead = 2; surviving = 10 });
+        ok (Ld { node = 0; value = 20; started = 300; time = 350 });
+        bad (Ld { node = 1; value = 10; started = 300; time = 360 });
+      ] );
+  ]
+
+let run_memcheck_case steps () =
+  let m = Memory_check.create ~nodes:4 in
+  let l = line ~home:1 ~index:3 in
+  List.iteri
+    (fun i (step, legal) ->
+      let before = Memory_check.violations m in
+      (match step with
+      | St { node; value; time } -> Memory_check.store_committed m ~node l ~value ~time
+      | Ld { node; value; started; time } ->
+          ignore (Memory_check.load_committed m ~node l ~value ~started ~time)
+      | Crash { dead; surviving } ->
+          Memory_check.crash_forget m ~dead ~surviving:(fun _ -> surviving));
+      Alcotest.(check int)
+        (Printf.sprintf "step %d %s" i (if legal then "accepted" else "flagged"))
+        (if legal then before else before + 1)
+        (Memory_check.violations m))
+    steps;
+  Alcotest.(check int) "one report per violation"
+    (Memory_check.violations m)
+    (List.length (Memory_check.violation_report m))
+
+(* ---------------- commit history ---------------- *)
+
+let test_order_linearizes () =
   let o = Oracle.Order.create () in
   let l = line ~home:0 ~index:0 in
-  Oracle.Order.record_load o ~node:2 ~line:l ~value:0 ~started:1 ~time:5;
+  Oracle.Order.record_load o ~node:2 ~line:l ~value:0 ~time:5;
   Oracle.Order.record_store o ~node:1 ~line:l ~value:10 ~time:10;
-  Oracle.Order.record_load o ~node:2 ~line:l ~value:10 ~started:12 ~time:15;
+  Oracle.Order.record_load o ~node:2 ~line:l ~value:10 ~time:15;
   Oracle.Order.record_store o ~node:1 ~line:l ~value:20 ~time:20;
-  (* started before the second store committed: still a legal window *)
-  Oracle.Order.record_load o ~node:3 ~line:l ~value:10 ~started:18 ~time:25;
-  Oracle.Order.record_load o ~node:2 ~line:l ~value:20 ~started:21 ~time:26;
+  Oracle.Order.record_load o ~node:3 ~line:l ~value:10 ~time:25;
+  Oracle.Order.record_load o ~node:2 ~line:l ~value:20 ~time:26;
   Alcotest.(check int) "stores counted" 2 (Oracle.Order.store_count o l);
   Alcotest.(check int) "last store" 20 (Oracle.Order.last_store o l);
   match Oracle.Order.linearize o with
@@ -102,37 +206,42 @@ let test_order_accepts_legal () =
         (shape = [ `L 0; `S 10; `L 10; `L 10; `S 20; `L 20 ])
   | other -> Alcotest.failf "expected one line, got %d" (List.length other)
 
-let expect_order_violation name f =
-  match f () with
-  | () -> Alcotest.failf "%s: violation not detected" name
-  | exception Oracle.Order.Violation _ -> ()
+(* The probe checks each commit before any observer sees it, so the
+   auditor stops a run at the very commit the checker flags, on either
+   backend.  Planted faults provide the violations: on MSI, snoopers that
+   ignore upgrades; on the adaptive machine, pushed consumers left out of
+   the producer's sharing vector (a few seeds until a stale copy is
+   read). *)
+let stops_at_flagged_commit ~config programs =
+  let sys = System.create ~config () in
+  Oracle.Audit.stop_on_value_violation sys;
+  match System.run_programs sys programs with
+  | _ -> false
+  | exception Oracle.Audit.Violation { time; message } ->
+      Alcotest.(check int) "stopped at the first violation" 1 (System.violations sys);
+      Alcotest.(check (list string)) "message is the checker's report"
+        (System.violation_report sys) [ message ];
+      (match Flight_ring.last 1 (Flight_ring.events (System.flight sys)) with
+      | [ e ] ->
+          Alcotest.(check bool) "newest event is that commit" true
+            (e.Flight_ring.e_kind = Flight_ring.k_commit && e.e_time = time)
+      | _ -> Alcotest.fail "empty flight ring");
+      true
 
-let test_order_rejects_stale_read () =
-  expect_order_violation "stale read" (fun () ->
-      let o = Oracle.Order.create () in
-      let l = line ~home:1 ~index:3 in
-      Oracle.Order.record_store o ~node:0 ~line:l ~value:7 ~time:10;
-      Oracle.Order.record_store o ~node:0 ~line:l ~value:9 ~time:20;
-      (* started after version 9 committed, yet returned version 7 *)
-      Oracle.Order.record_load o ~node:2 ~line:l ~value:7 ~started:30 ~time:35)
-
-let test_order_rejects_nonmonotone () =
-  expect_order_violation "non-monotone observation" (fun () ->
-      let o = Oracle.Order.create () in
-      let l = line ~home:0 ~index:1 in
-      Oracle.Order.record_store o ~node:0 ~line:l ~value:5 ~time:10;
-      Oracle.Order.record_store o ~node:0 ~line:l ~value:6 ~time:20;
-      Oracle.Order.record_load o ~node:3 ~line:l ~value:6 ~started:25 ~time:30;
-      (* legal window on its own (started before store 6), but node 3
-         already observed the newer version *)
-      Oracle.Order.record_load o ~node:3 ~line:l ~value:5 ~started:5 ~time:40)
-
-let test_order_rejects_unknown_value () =
-  expect_order_violation "load of a value never stored" (fun () ->
-      let o = Oracle.Order.create () in
-      let l = line ~home:0 ~index:2 in
-      Oracle.Order.record_store o ~node:1 ~line:l ~value:3 ~time:10;
-      Oracle.Order.record_load o ~node:2 ~line:l ~value:4 ~started:11 ~time:12)
+let test_value_violation_stops_run () =
+  List.iter
+    (fun (config_name, fault) ->
+      let stops seed =
+        let desc =
+          { Oracle.Trace.bench = "random"; config_name; nodes = 6; scale = 0.15; seed;
+            fault = false }
+        in
+        let config = { (Oracle.Trace.config_of_desc desc) with Config.inject_fault = Some fault } in
+        stops_at_flagged_commit ~config (Oracle.Trace.programs_of_desc desc)
+      in
+      if not (List.exists stops (List.init 10 succ)) then
+        Alcotest.failf "%s: planted fault never flagged in 10 seeds" config_name)
+    [ ("full", Config.Stale_update_no_resharing); ("msi", Config.Snoop_upgr_skips_invals) ]
 
 (* ---------------- fault injection ---------------- *)
 
@@ -233,12 +342,13 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_jsonl_roundtrip;
     Alcotest.test_case "trace artifact round-trips" `Quick test_trace_roundtrip;
-    Alcotest.test_case "order: accepts a legal history" `Quick test_order_accepts_legal;
-    Alcotest.test_case "order: rejects a stale read" `Quick test_order_rejects_stale_read;
-    Alcotest.test_case "order: rejects non-monotone observation" `Quick
-      test_order_rejects_nonmonotone;
-    Alcotest.test_case "order: rejects an unknown value" `Quick
-      test_order_rejects_unknown_value;
+  ]
+  @ List.map
+      (fun (name, steps) -> Alcotest.test_case name `Quick (run_memcheck_case steps))
+      memcheck_cases
+  @ [
+    Alcotest.test_case "order: linearizes a legal history" `Quick test_order_linearizes;
+    Alcotest.test_case "value violation stops the run" `Quick test_value_violation_stops_run;
     Alcotest.test_case "audit catches the injected fault" `Quick test_fault_is_caught;
     Alcotest.test_case "fault flag inert without updates" `Quick
       test_fault_free_config_ignores_flag;

@@ -216,22 +216,27 @@ let prop_geomean_bounds =
 
 (* ---------------- memory checker properties ---------------- *)
 
+(* Serial executions on several nodes: each operation starts and commits
+   at its own instant and a load returns the newest version, so every
+   axiom holds whichever node issues what. *)
 let prop_memcheck_accepts_serial_execution =
   Q.Test.make ~count:200 ~name:"memcheck accepts any serial execution"
-    Q.(small_list bool)
+    Q.(small_list (pair (int_bound 3) bool))
     (fun ops ->
-      let m = Memory_check.create () in
+      let m = Memory_check.create ~nodes:4 in
       let current = ref 0 and time = ref 0 and next = ref 0 in
       List.for_all
-        (fun is_store ->
+        (fun (node, is_store) ->
           incr time;
           if is_store then begin
             incr next;
             current := !next;
-            Memory_check.store_committed m 1 ~value:!next ~time:!time;
+            Memory_check.store_committed m ~node 1 ~value:!next ~time:!time;
             true
           end
-          else Memory_check.load_committed m 1 ~value:!current ~started:!time ~time:!time)
+          else
+            Memory_check.load_committed m ~node 1 ~value:!current ~started:!time
+              ~time:!time)
         ops
       && Memory_check.violations m = 0)
 
