@@ -75,6 +75,60 @@ let resolve_workload ~tool ~nodes ~scale ~seed spec =
       Printf.eprintf "%s: %s\n" tool message;
       exit 2
 
+(* The seeded sweep pcc_oracle and pcc_chaos share: each seed pairs the
+   random workload with one of the paper's seven apps, in rotation, or
+   runs the one spec [--workload] pins (checked before any run, exit 2). *)
+let workload_pin ~what () =
+  let doc =
+    Printf.sprintf
+      "Pin every %s to one workload spec ($(i,NAME) or $(i,NAME:key=value,...)) \
+       instead of the random + rotating-benchmark pair per seed."
+      what
+  in
+  Arg.(value & opt (some string) None & info [ "w"; "workload" ] ~docv:"SPEC" ~doc)
+
+let check_workload_pin ~tool ~nodes ~scale pin =
+  Option.iter (fun spec -> ignore (resolve_workload ~tool ~nodes ~scale ~seed:1 spec)) pin
+
+let sweep_benches ~workload_pin seed =
+  match workload_pin with
+  | Some spec -> [ spec ]
+  | None ->
+      let apps = Pcc.Workloads.all in
+      let app = List.nth apps ((seed - 1) mod List.length apps) in
+      [ "random"; String.lowercase_ascii app.Pcc.Workloads.name ]
+
+(* Output paths are checked when the command line is read, before any
+   run: a missing or read-only directory would otherwise surface as an
+   uncaught Sys_error after the whole run.  A bad path exits 2, named.
+   A directory flag ([~dir:true]) is created first when missing. *)
+let check_output ?(dir = false) ~flag path =
+  if dir then (try Sys.mkdir path 0o755 with Sys_error _ -> ());
+  let probe_dir = if dir then path else Filename.dirname path in
+  let writable =
+    (dir || not (Sys.file_exists path && Sys.is_directory path))
+    &&
+    match Filename.temp_file ~temp_dir:probe_dir "pcc" ".probe" with
+    | probe ->
+        Sys.remove probe;
+        true
+    | exception Sys_error _ -> false
+  in
+  if not writable then begin
+    Printf.eprintf "%s: cannot write %s %s\n"
+      (Filename.remove_extension (Filename.basename Sys.executable_name))
+      flag path;
+    exit 2
+  end;
+  path
+
+(* An optional [--NAME PATH] output flag, checked as above. *)
+let output_path ~doc long =
+  let flag = "--" ^ long in
+  Term.(
+    const (Option.map (check_output ~flag))
+    $ Arg.(value & opt (some string) None & info [ long ] ~docv:"PATH" ~doc))
+
 (* Config/machine selection: pcc_sim calls it --machine, the trace tool
    --config; both mean the same names. *)
 let config ?(names = [ "m"; "machine" ]) ?(default = "full")
@@ -108,7 +162,7 @@ let jobs ?(what = "runs") () =
   Arg.(value & opt int (Pcc.Pool.default_jobs ()) & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let json ?(doc = "Write machine-readable results to $(docv).") () =
-  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
+  output_path ~doc "json"
 
 let metrics ?(doc_suffix = "") () =
   let doc =
@@ -117,7 +171,7 @@ let metrics ?(doc_suffix = "") () =
      exposition.  Deterministic: sorted by (name, labels) and byte-identical \
      at every --jobs level." ^ doc_suffix
   in
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"PATH" ~doc)
+  output_path ~doc "metrics"
 
 (* Every tool funnels its exit through this: build the registry only when
    the user asked for the file, so default runs stay write-free. *)

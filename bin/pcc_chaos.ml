@@ -1,21 +1,16 @@
 (* Seeded chaos sweeps: run workloads over a deliberately unreliable
    interconnect — packets dropped, duplicated, delayed, reordered, links
-   taken down transiently — with the online coherence oracle attached.
-   A sweep passes only if every run quiesces with every operation
-   committed and zero oracle violations, and the recovery machinery was
-   actually exercised (nonzero retransmit / duplicate-drop counters).
+   taken down transiently, and with --crash/--crash-nodes whole nodes
+   fail-stopped and restarted cold — with the online coherence oracle
+   attached.  Each cell is one Oracle.Runner.run over a descriptor whose
+   network part pins the fault layer, so a cell passes exactly when the
+   checked-run path finds nothing: quiesced, every operation committed,
+   zero oracle violations.  The sweep also fails if the recovery
+   machinery was never exercised.
 
-   Seeds are independent simulations, so the sweep fans out across
-   domains (--jobs N / PCC_JOBS; 1 = sequential).  Workers never print:
-   each run returns a report and the main domain prints them in
-   submission order, so output and the --json artifact are bit-identical
-   at every jobs level.
-
-   Crash-sweep mode layers scheduled fail-stop node crashes (--crash,
-   --restart-after, --crash-nodes) on top of the packet chaos: each run
-   additionally kills nodes mid-flight and must recover through the
-   epoch/revocation machinery, restart them cold, and still commit every
-   operation.
+   Cells fan out across domains (--jobs N / PCC_JOBS; 1 = sequential);
+   the main domain prints the reports in submission order, so output and
+   the --json artifact are bit-identical at every jobs level.
 
      dune exec bin/pcc_chaos.exe -- --seeds 34
      dune exec bin/pcc_chaos.exe -- --profile storm --seeds 5 --verbose
@@ -25,93 +20,35 @@
 open Cmdliner
 open Pcc
 
-let bench_rotation = [| "barnes"; "ocean"; "em3d"; "lu"; "cg"; "mg"; "appbt" |]
+(* Per-run counters, in the order each group appears in the --json
+   artifact; a run the oracle aborted has no statistics (zeros). *)
+let stat get (r : Oracle.Runner.report) =
+  Option.fold r.result ~none:0 ~some:(fun result -> get result.System.stats)
 
-let count_accesses programs =
-  Array.fold_left
-    (fun acc ops ->
-      List.fold_left
-        (fun acc op ->
-          match op with Types.Access _ -> acc + 1 | Types.Compute _ | Types.Barrier _ -> acc)
-        acc ops)
-    0 programs
+let injected get (r : Oracle.Runner.report) = Option.fold r.injected ~none:0 ~some:get
 
-type tally = {
-  mutable runs : int;
-  mutable failures : int;
-  mutable retransmits : int;
-  mutable dup_dropped : int;
-  mutable txn_timeouts : int;
-  mutable fallbacks : int;
-  mutable injected_drops : int;
-  mutable injected_dups : int;
-  mutable injected_delays : int;
-  mutable injected_outages : int;
-  mutable crashes : int;
-  mutable restarts : int;
-  mutable crash_revoked : int;
-}
+let recovery_counters =
+  [
+    ("retransmits", stat (fun s -> s.Run_stats.retransmits));
+    ("dup_dropped", stat (fun s -> s.Run_stats.dup_dropped));
+    ("txn_timeouts", stat (fun s -> s.Run_stats.txn_timeouts));
+    ("fallbacks", stat (fun s -> s.Run_stats.fallbacks));
+  ]
 
-let tally () =
-  {
-    runs = 0;
-    failures = 0;
-    retransmits = 0;
-    dup_dropped = 0;
-    txn_timeouts = 0;
-    fallbacks = 0;
-    injected_drops = 0;
-    injected_dups = 0;
-    injected_delays = 0;
-    injected_outages = 0;
-    crashes = 0;
-    restarts = 0;
-    crash_revoked = 0;
-  }
+let injected_counters =
+  [
+    ("injected_drops", injected (fun f -> f.Fault.dropped));
+    ("injected_dups", injected (fun f -> f.Fault.duplicated));
+    ("injected_delays", injected (fun f -> f.Fault.delayed));
+    ("injected_outages", injected (fun f -> f.Fault.outages_started));
+  ]
 
-(* Failure reasons for one chaotic run; empty list = the run survived. *)
-let check_run ~total_ops ~committed (result : System.result) =
-  let problems = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  (match result.stall with
-  | None -> ()
-  | Some stall ->
-      add "did not quiesce: %s"
-        (Format.asprintf "%a" System.pp_stall_report stall));
-  if committed <> total_ops then
-    add "committed %d of %d operations" committed total_ops;
-  if result.violations > 0 then add "%d memory-check violations" result.violations;
-  (match result.invariant_errors with
-  | [] -> ()
-  | errs -> add "%d invariant errors (first: %s)" (List.length errs) (List.hd errs));
-  List.rev !problems
-
-(* Everything one chaotic run reports back to the main domain. *)
-type run_report = {
-  rr_seed : int;
-  rr_profile : string;
-  rr_bench : string;
-  rr_workload : string;
-      (* resolved workload description (registry describe string) for the
-         --json artifact *)
-  rr_config : string;
-  rr_total_ops : int;
-  rr_problems : string list;
-  rr_retransmits : int;
-  rr_dup_dropped : int;
-  rr_txn_timeouts : int;
-  rr_fallbacks : int;
-  rr_injected_drops : int;
-  rr_injected_dups : int;
-  rr_injected_delays : int;
-  rr_injected_outages : int;
-  rr_crashes : int;
-  rr_restarts : int;
-  rr_crash_revoked : int;
-  rr_flight_dump : string option;
-      (* armed post-mortem path for this run — the artifact to open when
-         the run fails *)
-}
+let crash_counters =
+  [
+    ("crashes", stat (fun s -> s.Run_stats.crashes));
+    ("restarts", stat (fun s -> s.Run_stats.restarts));
+    ("crash_revoked", stat (fun s -> s.Run_stats.crash_revoked));
+  ]
 
 (* Fail-stop schedule for one run, derived purely from the run's own
    identity so crash sweeps stay bit-identical across pool widths.
@@ -120,355 +57,198 @@ type run_report = {
    die.  The window sits inside a default-scale run so crashes land
    mid-traffic, and every victim restarts — a sweep must quiesce. *)
 let crash_schedule_for ~chaos_seed ~nodes ~crash_victims ~crash_nodes ~restart_after =
-  if crash_victims = 0 && crash_nodes = [] then []
-  else
-    let victims =
-      if crash_nodes = [] then crash_victims else List.length crash_nodes
-    in
-    let sched =
-      Fault.crash_schedule ~seed:chaos_seed ~nodes ~victims ~window:(3_000, 12_000)
-        ~restart_after ()
-    in
-    match crash_nodes with
-    | [] -> sched
-    | explicit -> List.map2 (fun (c : Fault.crash) victim -> { c with victim }) sched explicit
+  let victims = if crash_nodes = [] then crash_victims else List.length crash_nodes in
+  let sched =
+    Fault.crash_schedule ~seed:chaos_seed ~nodes ~victims ~window:(3_000, 12_000)
+      ~restart_after ()
+  in
+  match crash_nodes with
+  | [] -> sched
+  | explicit -> List.map2 (fun (c : Fault.crash) victim -> { c with victim }) sched explicit
 
-let run_one ~bench ~config_name ~protocol ~nodes ~scale ~seed ~profile_name
-    ~txn_timeout ~fallback_threshold ~max_events ~crash_victims ~crash_nodes
-    ~restart_after ~flight_dir =
-  let desc =
-    { Oracle.Trace.bench; config_name; nodes; scale; seed; fault = false }
-  in
-  (* independent chaos stream per (seed, profile, bench): the workload RNG
-     stays pinned by [seed] alone, so the same traffic meets different
-     fault schedules *)
-  let chaos_seed = (seed * 8191) + Hashtbl.hash (profile_name, bench) in
-  let profile =
-    match Fault.preset profile_name ~seed:chaos_seed with
-    | Some p -> p
-    | None ->
-        raise
-          (Invalid_argument (Printf.sprintf "unknown fault profile %S" profile_name))
-  in
-  let profile =
-    {
-      profile with
-      Fault.crashes =
-        crash_schedule_for ~chaos_seed ~nodes ~crash_victims ~crash_nodes
-          ~restart_after;
-    }
-  in
-  let config =
-    {
-      (Oracle.Trace.config_of_desc desc) with
-      Config.protocol;
-      net_faults = Some profile;
-      txn_timeout;
-      fallback_threshold;
-    }
-  in
-  (* resolve through the workload registry: [bench] is a full spec string
-     (validated up front in [main], so failure here is a program error) *)
-  let workload =
-    match Workload.of_spec ~nodes ~scale ~seed bench with
-    | Ok w -> w
-    | Error message -> invalid_arg ("pcc_chaos: " ^ message)
-  in
-  let programs = Workload.programs workload in
-  let total_ops = count_accesses programs in
-  let sys = System.create ~config () in
-  (* Deterministic per-run artifact path: a function of the run's own
-     identity, so parallel workers never collide and reruns overwrite. *)
-  (match flight_dir with
-  | None -> ()
-  | Some dir ->
-      System.arm_flight_dump sys
-        ~path:
-          (Filename.concat dir
-             (Printf.sprintf "seed%d-%s-%s.flight.json" seed profile_name bench)));
-  (* the directory-state auditor reads adaptive internals; the snooping
-     backends are covered by the memory checker and quiescence invariants *)
-  if protocol = Types.Adaptive then ignore (Oracle.Audit.attach sys);
-  let committed = ref 0 in
-  System.on_commit sys (fun _ -> incr committed);
-  let report =
-    {
-      rr_seed = seed;
-      rr_profile = profile_name;
-      rr_bench = bench;
-      rr_workload = Workload.describe workload;
-      rr_config = config_name;
-      rr_total_ops = total_ops;
-      rr_problems = [];
-      rr_retransmits = 0;
-      rr_dup_dropped = 0;
-      rr_txn_timeouts = 0;
-      rr_fallbacks = 0;
-      rr_injected_drops = 0;
-      rr_injected_dups = 0;
-      rr_injected_delays = 0;
-      rr_injected_outages = 0;
-      rr_crashes = 0;
-      rr_restarts = 0;
-      rr_crash_revoked = 0;
-      rr_flight_dump = System.flight_dump_path sys;
-    }
-  in
-  match System.run_programs ~max_events sys programs with
-  | exception Oracle.Audit.Violation { message; time; _ } ->
-      {
-        report with
-        rr_problems = [ Printf.sprintf "oracle violation at t=%d: %s" time message ];
-      }
-  | result ->
-      let stats = result.System.stats in
-      let drops, dups, delays, outages =
-        match System.fault_stats sys with
-        | Some f -> (f.Fault.dropped, f.Fault.duplicated, f.Fault.delayed, f.Fault.outages_started)
-        | None -> (0, 0, 0, 0)
-      in
-      let stats_errors =
-        List.map (fun e -> "stats: " ^ e) (Oracle.Stats_check.check sys result)
-      in
-      {
-        report with
-        rr_problems = check_run ~total_ops ~committed:!committed result @ stats_errors;
-        rr_retransmits = stats.Run_stats.retransmits;
-        rr_dup_dropped = stats.Run_stats.dup_dropped;
-        rr_txn_timeouts = stats.Run_stats.txn_timeouts;
-        rr_fallbacks = stats.Run_stats.fallbacks;
-        rr_injected_drops = drops;
-        rr_injected_dups = dups;
-        rr_injected_delays = delays;
-        rr_injected_outages = outages;
-        rr_crashes = stats.Run_stats.crashes;
-        rr_restarts = stats.Run_stats.restarts;
-        rr_crash_revoked = stats.Run_stats.crash_revoked;
-      }
+let profile_of (desc : Oracle.Trace.run_desc) = (Option.get desc.net).profile
 
-let absorb t (r : run_report) =
-  t.runs <- t.runs + 1;
-  if r.rr_problems <> [] then t.failures <- t.failures + 1;
-  t.retransmits <- t.retransmits + r.rr_retransmits;
-  t.dup_dropped <- t.dup_dropped + r.rr_dup_dropped;
-  t.txn_timeouts <- t.txn_timeouts + r.rr_txn_timeouts;
-  t.fallbacks <- t.fallbacks + r.rr_fallbacks;
-  t.injected_drops <- t.injected_drops + r.rr_injected_drops;
-  t.injected_dups <- t.injected_dups + r.rr_injected_dups;
-  t.injected_delays <- t.injected_delays + r.rr_injected_delays;
-  t.injected_outages <- t.injected_outages + r.rr_injected_outages;
-  t.crashes <- t.crashes + r.rr_crashes;
-  t.restarts <- t.restarts + r.rr_restarts;
-  t.crash_revoked <- t.crash_revoked + r.rr_crash_revoked
+(* Deterministic per-run artifact path: a function of the run's own
+   identity, so parallel workers never collide and reruns overwrite. *)
+let flight_dump_of ~flight_dir (desc : Oracle.Trace.run_desc) =
+  Option.map
+    (fun dir ->
+      Filename.concat dir
+        (Printf.sprintf "seed%d-%s-%s.flight.json" desc.seed (profile_of desc) desc.bench))
+    flight_dir
 
-let print_report ~verbose (r : run_report) =
-  match r.rr_problems with
+(* The sweep's machine is the full one; --protocol swaps in a snooping
+   backend on the same base parameters.  Artifacts record it as "full". *)
+let config_label = "full"
+
+let print_report ~verbose ~flight_dir (r : Oracle.Runner.report) =
+  let d = r.desc in
+  match r.violations with
   | [] ->
       if verbose then
-        Printf.printf "ok   seed=%d profile=%-7s bench=%-6s config=%s (%d ops)\n%!"
-          r.rr_seed r.rr_profile r.rr_bench r.rr_config r.rr_total_ops
+        Printf.printf "ok   seed=%d profile=%-7s bench=%-6s config=%s (%d ops)\n%!" d.seed
+          (profile_of d) d.bench config_label r.accesses
   | problems ->
-      Printf.printf "FAIL seed=%d profile=%s bench=%s config=%s\n" r.rr_seed
-        r.rr_profile r.rr_bench r.rr_config;
+      Printf.printf "FAIL seed=%d profile=%s bench=%s config=%s\n" d.seed (profile_of d)
+        d.bench config_label;
       List.iter (fun p -> Printf.printf "  %s\n%!" p) problems;
-      (match r.rr_flight_dump with
-      | Some path ->
-          Printf.printf "  post-mortem: %s (decode with pcc_trace --flight %s)\n%!"
-            path path
-      | None -> ())
+      Option.iter
+        (fun path ->
+          Printf.printf "  post-mortem: %s (decode with pcc_trace --flight %s)\n%!" path
+            path)
+        (flight_dump_of ~flight_dir d)
 
-let json_of_report (r : run_report) =
+let json_of_report ~flight_dir (r : Oracle.Runner.report) =
+  let d = r.desc in
+  let counters = recovery_counters @ injected_counters @ crash_counters in
   Jsonl.Obj
-    [
-      ("seed", Jsonl.Int r.rr_seed);
-      ("profile", Jsonl.String r.rr_profile);
-      ("bench", Jsonl.String r.rr_bench);
-      ("workload", Jsonl.String r.rr_workload);
-      ("config", Jsonl.String r.rr_config);
-      ("total_ops", Jsonl.Int r.rr_total_ops);
-      ("problems", Jsonl.List (List.map (fun p -> Jsonl.String p) r.rr_problems));
-      ("retransmits", Jsonl.Int r.rr_retransmits);
-      ("dup_dropped", Jsonl.Int r.rr_dup_dropped);
-      ("txn_timeouts", Jsonl.Int r.rr_txn_timeouts);
-      ("fallbacks", Jsonl.Int r.rr_fallbacks);
-      ("injected_drops", Jsonl.Int r.rr_injected_drops);
-      ("injected_dups", Jsonl.Int r.rr_injected_dups);
-      ("injected_delays", Jsonl.Int r.rr_injected_delays);
-      ("injected_outages", Jsonl.Int r.rr_injected_outages);
-      ("crashes", Jsonl.Int r.rr_crashes);
-      ("restarts", Jsonl.Int r.rr_restarts);
-      ("crash_revoked", Jsonl.Int r.rr_crash_revoked);
-      ( "flight_dump",
-        match r.rr_flight_dump with Some p -> Jsonl.String p | None -> Jsonl.Null );
-    ]
-
-let write_json path t reports =
-  let doc =
-    Jsonl.Obj
-      [
-        ("runs", Jsonl.List (List.map json_of_report reports));
-        ( "tally",
-          Jsonl.Obj
-            [
-              ("runs", Jsonl.Int t.runs);
-              ("failures", Jsonl.Int t.failures);
-              ("injected_drops", Jsonl.Int t.injected_drops);
-              ("injected_dups", Jsonl.Int t.injected_dups);
-              ("injected_delays", Jsonl.Int t.injected_delays);
-              ("injected_outages", Jsonl.Int t.injected_outages);
-              ("retransmits", Jsonl.Int t.retransmits);
-              ("dup_dropped", Jsonl.Int t.dup_dropped);
-              ("txn_timeouts", Jsonl.Int t.txn_timeouts);
-              ("fallbacks", Jsonl.Int t.fallbacks);
-              ("crashes", Jsonl.Int t.crashes);
-              ("restarts", Jsonl.Int t.restarts);
-              ("crash_revoked", Jsonl.Int t.crash_revoked);
-            ] );
-      ]
-  in
-  Atomic_file.write ~path (fun oc ->
-      output_string oc (Jsonl.to_string doc);
-      output_char oc '\n')
+    ([
+       ("seed", Jsonl.Int d.seed);
+       ("profile", Jsonl.String (profile_of d));
+       ("bench", Jsonl.String d.bench);
+       ("workload", Jsonl.String (Workload.describe (Oracle.Trace.workload_of_desc d)));
+       ("config", Jsonl.String config_label);
+       ("total_ops", Jsonl.Int r.accesses);
+       ("problems", Jsonl.List (List.map (fun p -> Jsonl.String p) r.violations));
+     ]
+    @ List.map (fun (key, get) -> (key, Jsonl.Int (get r))) counters
+    @ [
+        ( "flight_dump",
+          Option.fold (flight_dump_of ~flight_dir d) ~none:Jsonl.Null ~some:(fun p ->
+              Jsonl.String p) );
+      ])
 
 let main workload_pin seeds protocol nodes scale profile_filter txn_timeout
     fallback_threshold max_events jobs json_path verbose crash_victims crash_nodes
     restart_after flight_dir metrics_path =
-  let pin_error =
-    (* validate the pinned spec loudly up front — workers must never be the
-       first place an unknown workload name is noticed *)
-    match workload_pin with
-    | None -> None
-    | Some spec -> (
-        match Workload.of_spec ~nodes ~scale ~seed:1 spec with
-        | Ok _ -> None
-        | Error message -> Some message)
+  Cli_common.check_workload_pin ~tool:"pcc_chaos" ~nodes ~scale workload_pin;
+  let crash_mode = crash_victims > 0 || crash_nodes <> [] in
+  let usage_errors =
+    [
+      ( Option.fold profile_filter ~none:false ~some:(fun name ->
+            not (List.mem_assoc name Fault.presets)),
+        Printf.sprintf "unknown fault profile %S (known: %s)"
+          (Option.value profile_filter ~default:"")
+          (String.concat ", " (List.map fst Fault.presets)) );
+      ( protocol <> Types.Adaptive && crash_mode,
+        Printf.sprintf "fail-stop crashes need the adaptive backend (--protocol %s given)"
+          (Protocol.to_string protocol) );
+      ( crash_victims < 0 || crash_victims > nodes - 1,
+        Printf.sprintf "--crash must be in [0, nodes-1] (got %d)" crash_victims );
+      (* a sweep's pass criterion is full quiescence with every operation
+         committed; a victim that never returns cannot satisfy it, so
+         permanent death stays in the test suite, not the sweep *)
+      ( restart_after <= 0,
+        Printf.sprintf "--restart-after must be positive (got %d)" restart_after );
+      ( List.exists (fun v -> v < 0 || v >= nodes) crash_nodes
+        || List.length (List.sort_uniq compare crash_nodes) <> List.length crash_nodes
+        || List.length crash_nodes > nodes - 1,
+        Printf.sprintf
+          "--crash-nodes must list distinct nodes in [0, %d], leaving at least one \
+           survivor"
+          (nodes - 1) );
+    ]
   in
-  match pin_error with
-  | Some message ->
+  match List.find_opt fst usage_errors with
+  | Some (_, message) ->
       Printf.eprintf "pcc_chaos: %s\n" message;
       2
   | None ->
-  if protocol <> Types.Adaptive && (crash_victims > 0 || crash_nodes <> []) then begin
-    Printf.eprintf
-      "pcc_chaos: fail-stop crashes need the adaptive backend (--protocol %s given)\n"
-      (Protocol.to_string protocol);
-    2
-  end
-  else if nodes < 2 then begin
-    Printf.eprintf "pcc_chaos: --nodes must be at least 2 (got %d)\n" nodes;
-    2
-  end
-  else if crash_victims < 0 || crash_victims > nodes - 1 then begin
-    Printf.eprintf "pcc_chaos: --crash must be in [0, nodes-1] (got %d)\n"
-      crash_victims;
-    2
-  end
-  else if restart_after <= 0 then begin
-    (* a sweep's pass criterion is full quiescence with every operation
-       committed; a victim that never returns cannot satisfy it, so
-       permanent death stays in the test suite, not the sweep *)
-    Printf.eprintf "pcc_chaos: --restart-after must be positive (got %d)\n"
-      restart_after;
-    2
-  end
-  else if
-    List.exists (fun v -> v < 0 || v >= nodes) crash_nodes
-    || List.length (List.sort_uniq compare crash_nodes) <> List.length crash_nodes
-    || List.length crash_nodes > nodes - 1
-  then begin
-    Printf.eprintf
-      "pcc_chaos: --crash-nodes must list distinct nodes in [0, %d], leaving at \
-       least one survivor\n"
-      (nodes - 1);
-    2
-  end
-  else begin
-    let flight_dir =
-      match flight_dir with
-      | "none" -> None
-      | dir ->
-          (match Sys.mkdir dir 0o755 with
-          | () -> ()
-          | exception Sys_error _ -> ());
-          Some dir
-    in
-    let profiles =
-      match profile_filter with
-      | Some name -> [ name ]
-      | None -> List.map fst Fault.presets
-    in
-    (* Same nesting as the sequential loops ever had: seed, profile,
-       bench — the submission order is the print order. *)
-    let cells =
-      List.concat_map
-        (fun seed ->
-          let benches =
-            match workload_pin with
-            | Some spec -> [ spec ]
-            | None ->
-                [ "random"; bench_rotation.((seed - 1) mod Array.length bench_rotation) ]
-          in
-          List.concat_map
-            (fun profile_name ->
-              List.map (fun bench -> (seed, profile_name, bench)) benches)
-            profiles)
-        (List.init seeds (fun i -> i + 1))
-    in
-    let tasks =
-      List.map
-        (fun (seed, profile_name, bench) ->
-          ( Printf.sprintf "seed=%d/%s/%s" seed profile_name bench,
-            fun () ->
-              run_one ~bench ~config_name:"full" ~protocol ~nodes ~scale ~seed
-                ~profile_name ~txn_timeout ~fallback_threshold ~max_events
-                ~crash_victims ~crash_nodes ~restart_after ~flight_dir ))
-        cells
-    in
-    let reports = Pool.run_keyed ~jobs tasks in
-    let t = tally () in
-    List.iter
-      (fun report ->
-        absorb t report;
-        print_report ~verbose report)
-      reports;
-    let crash_mode = crash_victims > 0 || crash_nodes <> [] in
-    Printf.printf
-      "%d chaotic runs, %d failures\n\
-       injected: %d drops, %d duplicates, %d delays, %d outages\n\
-       recovered: %d retransmits, %d duplicates dropped, %d txn timeouts, %d fallbacks\n"
-      t.runs t.failures t.injected_drops t.injected_dups t.injected_delays
-      t.injected_outages t.retransmits t.dup_dropped t.txn_timeouts t.fallbacks;
-    if crash_mode then
-      Printf.printf "crashed: %d fail-stops, %d restarts, %d delegations revoked\n"
-        t.crashes t.restarts t.crash_revoked;
-    (match json_path with Some path -> write_json path t reports | None -> ());
-    Cli_common.write_metrics metrics_path (fun registry ->
-        let module R = Telemetry.Registry in
-        R.counter registry "pcc_chaos_runs" t.runs;
-        R.counter registry "pcc_chaos_failures" t.failures;
-        R.counter registry "pcc_chaos_injected_drops" t.injected_drops;
-        R.counter registry "pcc_chaos_injected_dups" t.injected_dups;
-        R.counter registry "pcc_chaos_injected_delays" t.injected_delays;
-        R.counter registry "pcc_chaos_injected_outages" t.injected_outages;
-        R.counter registry "pcc_retransmits" t.retransmits;
-        R.counter registry "pcc_dup_dropped" t.dup_dropped;
-        R.counter registry "pcc_txn_timeouts" t.txn_timeouts;
-        R.counter registry "pcc_fallbacks" t.fallbacks;
-        R.counter registry "pcc_crashes" t.crashes;
-        R.counter registry "pcc_restarts" t.restarts;
-        R.counter registry "pcc_crash_revoked" t.crash_revoked);
-    if t.failures > 0 then 1
-    else if t.retransmits = 0 || t.dup_dropped = 0 then begin
-      (* a sweep that never had to recover proves nothing *)
-      Printf.printf "SWEEP TOO QUIET: recovery machinery never exercised\n";
-      1
-    end
-    else if crash_mode && t.crashes = 0 then begin
-      Printf.printf "SWEEP TOO QUIET: crash mode on but no node ever fail-stopped\n";
-      1
-    end
-    else 0
-  end
+      let flight_dir =
+        match flight_dir with
+        | "none" -> None
+        | dir -> Some (Cli_common.check_output ~dir:true ~flag:"--flight-dir" dir)
+      in
+      let profiles =
+        match profile_filter with
+        | Some name -> [ name ]
+        | None -> List.map fst Fault.presets
+      in
+      let config_name =
+        if protocol = Types.Adaptive then "full" else Protocol.to_string protocol
+      in
+      let desc_for ~seed ~profile bench =
+        (* independent chaos stream per (seed, profile, bench): the
+           workload RNG stays pinned by [seed] alone, so the same traffic
+           meets different fault schedules *)
+        let chaos_seed = (seed * 8191) + Hashtbl.hash (profile, bench) in
+        let crashes =
+          crash_schedule_for ~chaos_seed ~nodes ~crash_victims ~crash_nodes
+            ~restart_after
+        in
+        { Oracle.Trace.bench; config_name; nodes; scale; seed; fault = false;
+          net = Some { profile; chaos_seed; crashes; txn_timeout; fallback_threshold } }
+      in
+      (* Same nesting as the sequential loops ever had: seed, profile,
+         bench — the submission order is the print order. *)
+      let descs =
+        List.concat_map
+          (fun seed ->
+            List.concat_map
+              (fun profile ->
+                List.map (desc_for ~seed ~profile)
+                  (Cli_common.sweep_benches ~workload_pin seed))
+              profiles)
+          (List.init seeds (fun i -> i + 1))
+      in
+      let reports =
+        Pool.map_keyed ~jobs
+          ~key:(fun (d : Oracle.Trace.run_desc) ->
+            Printf.sprintf "seed=%d/%s/%s" d.seed (profile_of d) d.bench)
+          (fun desc ->
+            Oracle.Runner.run ~diff:false ~max_events
+              ?flight_dump:(flight_dump_of ~flight_dir desc)
+              desc)
+          descs
+      in
+      List.iter (print_report ~verbose ~flight_dir) reports;
+      let sum (key, get) = (key, List.fold_left (fun acc r -> acc + get r) 0 reports) in
+      let failures = List.length (List.filter (Fun.negate Oracle.Runner.clean) reports) in
+      (* the sweep's own tally (pcc_chaos_* metrics), then what the
+         machine recovered (pcc_* metrics, shared with the other tools) *)
+      let sweep_tally =
+        ("runs", List.length reports) :: ("failures", failures)
+        :: List.map sum injected_counters
+      in
+      let recovered = List.map sum (recovery_counters @ crash_counters) in
+      let total key = List.assoc key (sweep_tally @ recovered) in
+      Printf.printf
+        "%d chaotic runs, %d failures\n\
+         injected: %d drops, %d duplicates, %d delays, %d outages\n\
+         recovered: %d retransmits, %d duplicates dropped, %d txn timeouts, %d fallbacks\n"
+        (total "runs") failures (total "injected_drops") (total "injected_dups")
+        (total "injected_delays") (total "injected_outages") (total "retransmits")
+        (total "dup_dropped") (total "txn_timeouts") (total "fallbacks");
+      if crash_mode then
+        Printf.printf "crashed: %d fail-stops, %d restarts, %d delegations revoked\n"
+          (total "crashes") (total "restarts") (total "crash_revoked");
+      let ints = List.map (fun (key, n) -> (key, Jsonl.Int n)) in
+      Option.iter
+        (fun path ->
+          Atomic_file.write_string ~path
+            (Jsonl.to_string
+               (Jsonl.Obj
+                  [
+                    ("runs", Jsonl.List (List.map (json_of_report ~flight_dir) reports));
+                    ("tally", Jsonl.Obj (ints sweep_tally @ ints recovered));
+                  ])
+            ^ "\n"))
+        json_path;
+      Cli_common.write_metrics metrics_path (fun registry ->
+          let counter prefix (key, n) = Telemetry.Registry.counter registry (prefix ^ key) n in
+          List.iter (counter "pcc_chaos_") sweep_tally;
+          List.iter (counter "pcc_") recovered);
+      if failures > 0 then 1
+      else if total "retransmits" = 0 || total "dup_dropped" = 0 then begin
+        (* a sweep that never had to recover proves nothing *)
+        Printf.printf "SWEEP TOO QUIET: recovery machinery never exercised\n";
+        1
+      end
+      else if crash_mode && total "crashes" = 0 then begin
+        Printf.printf "SWEEP TOO QUIET: crash mode on but no node ever fail-stopped\n";
+        1
+      end
+      else 0
 
 let profile_arg =
   Arg.(
@@ -499,20 +279,9 @@ let crash_arg =
            detected and recovered from by the directory, and restart cold.")
 
 let crash_nodes_arg =
-  let parse s =
-    try
-      Ok
-        (String.split_on_char ',' s
-        |> List.filter (fun x -> String.trim x <> "")
-        |> List.map (fun x -> int_of_string (String.trim x)))
-    with Failure _ -> Error (`Msg (Printf.sprintf "%S: expected node ids like 1,3" s))
-  in
-  let print ppf vs =
-    Format.pp_print_string ppf (String.concat "," (List.map string_of_int vs))
-  in
   Arg.(
     value
-    & opt (conv (parse, print)) []
+    & opt (list int) []
     & info [ "crash-nodes" ] ~docv:"IDS"
         ~doc:
           "Comma-separated victim nodes (e.g. 1,3) to crash instead of seeded \
@@ -538,20 +307,11 @@ let flight_dir_arg =
            the retained event window lands at that path and the failure \
            report names it (decode with $(b,pcc_trace --flight)).")
 
-let workload_pin_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "w"; "workload" ] ~docv:"SPEC"
-        ~doc:
-          "Pin every chaotic run to one workload spec \
-           ($(i,NAME) or $(i,NAME:key=value,...)) instead of the \
-           random + rotating-benchmark pair per seed.")
-
 let cmd =
   let term =
     Term.(
-      const main $ workload_pin_arg
+      const main
+      $ Cli_common.workload_pin ~what:"chaotic run" ()
       $ Cli_common.seeds ~default:34
           ~doc:"Seeds per fault profile (each seed runs 2 benchmarks)." ()
       $ Cli_common.protocol ()

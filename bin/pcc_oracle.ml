@@ -9,31 +9,7 @@
 open Cmdliner
 open Pcc
 
-let bench_rotation = [| "random"; "barnes"; "ocean"; "em3d"; "lu"; "cg"; "mg"; "appbt" |]
-
 let configs = [ "base"; "full" ]
-
-let descs_for_seed ~workload_pin ~configs ~nodes ~scale seed :
-    Oracle.Trace.run_desc list =
-  (* every seed runs the random workload plus one rotating app benchmark,
-     each under both the baseline and the fully adaptive machine (or the
-     selected snooping backend); --workload pins a single spec instead *)
-  let benches =
-    match workload_pin with
-    | Some spec -> [ spec ]
-    | None ->
-        [
-          "random";
-          bench_rotation.(1 + ((seed - 1) mod (Array.length bench_rotation - 1)));
-        ]
-  in
-  List.concat_map
-    (fun bench ->
-      List.map
-        (fun config_name ->
-          { Oracle.Trace.bench; config_name; nodes; scale; seed; fault = false })
-        configs)
-    benches
 
 let describe (d : Oracle.Trace.run_desc) =
   Printf.sprintf "seed=%d bench=%s config=%s nodes=%d scale=%.2f%s" d.seed d.bench
@@ -56,43 +32,47 @@ let run_sweep ~workload_pin ~seeds ~protocol ~nodes ~scale ~max_lines ~trace
     | Types.Adaptive -> configs
     | p -> [ Protocol.to_string p ]
   in
-  let failures = ref 0 in
-  let runs = ref 0 in
-  let ops = ref 0 in
-  let steps = ref 0 in
+  (* every seed runs the shared sweep's workloads, each under both the
+     baseline and the fully adaptive machine (or the selected snooping
+     backend) *)
+  let desc seed bench config_name : Oracle.Trace.run_desc =
+    { bench; config_name; nodes; scale; seed; fault = false; net = None }
+  in
   let artifact_written = ref false in
-  let results = ref [] in
-  for seed = 1 to seeds do
-    List.iter
-      (fun desc ->
-        incr runs;
-        let report = Oracle.Runner.run ~max_lines desc in
-        (match report.result with
-        | Some r -> results := r :: !results
-        | None -> ());
-        (match report.diff with
-        | Some o ->
-            ops := !ops + o.Oracle.Diff.ops_replayed;
-            steps := !steps + o.Oracle.Diff.model_steps
-        | None -> ());
-        if not (Oracle.Runner.clean report) then begin
-          incr failures;
-          report_failure ~trace ~artifact_written report
-        end)
-      (descs_for_seed ~workload_pin ~configs ~nodes ~scale seed)
-  done;
+  let reports =
+    List.init seeds succ
+    |> List.concat_map (fun seed ->
+           List.concat_map
+             (fun bench -> List.map (desc seed bench) configs)
+             (Cli_common.sweep_benches ~workload_pin seed))
+    |> List.map (fun desc ->
+           let report = Oracle.Runner.run ~max_lines desc in
+           if not (Oracle.Runner.clean report) then
+             report_failure ~trace ~artifact_written report;
+           report)
+  in
+  let runs = List.length reports in
+  let failures = List.length (List.filter (Fun.negate Oracle.Runner.clean) reports) in
+  let sum get =
+    List.fold_left
+      (fun acc (r : Oracle.Runner.report) -> acc + Option.fold r.diff ~none:0 ~some:get)
+      0 reports
+  in
+  let ops = sum (fun o -> o.Oracle.Diff.ops_replayed) in
+  let steps = sum (fun o -> o.Oracle.Diff.model_steps) in
   Printf.printf "%d runs, %d failures; %d ops replayed through the model (%d steps)\n"
-    !runs !failures !ops !steps;
+    runs failures ops steps;
   Cli_common.write_metrics metrics_path (fun registry ->
       let module R = Telemetry.Registry in
       List.iter
-        (fun r -> R.add_result ~summaries:false registry r)
-        (List.rev !results);
-      R.counter registry "pcc_oracle_runs" !runs;
-      R.counter registry "pcc_oracle_failures" !failures;
-      R.counter registry "pcc_oracle_ops_replayed" !ops;
-      R.counter registry "pcc_oracle_model_steps" !steps);
-  if !failures = 0 then 0 else 1
+        (fun (r : Oracle.Runner.report) ->
+          Option.iter (R.add_result ~summaries:false registry) r.result)
+        reports;
+      R.counter registry "pcc_oracle_runs" runs;
+      R.counter registry "pcc_oracle_failures" failures;
+      R.counter registry "pcc_oracle_ops_replayed" ops;
+      R.counter registry "pcc_oracle_model_steps" steps);
+  if failures = 0 then 0 else 1
 
 let run_fault ~nodes ~scale ~trace =
   (* the injected stale-update fault must be caught, with a replayable
@@ -107,7 +87,7 @@ let run_fault ~nodes ~scale ~trace =
     else
       let desc =
         { Oracle.Trace.bench = "random"; config_name = "full"; nodes; scale; seed;
-          fault = true }
+          fault = true; net = None }
       in
       let report = Oracle.Runner.run ~diff:false desc in
       if Oracle.Runner.clean report then attempt (seed + 1)
@@ -155,7 +135,7 @@ let run_golden ~nodes ~scale ~seed =
         (fun (app : Workloads.app) ->
           let desc =
             { Oracle.Trace.bench = app.name; config_name; nodes; scale; seed;
-              fault = false }
+              fault = false; net = None }
           in
           let config = Oracle.Trace.config_of_desc desc in
           let programs = Oracle.Trace.programs_of_desc desc in
@@ -172,32 +152,18 @@ let run_golden ~nodes ~scale ~seed =
 
 let main workload_pin seeds protocol nodes scale max_lines trace replay
     inject_fault golden metrics_path =
-  let pin_error =
-    match workload_pin with
-    | None -> None
-    | Some spec -> (
-        match Workload.of_spec ~nodes ~scale ~seed:1 spec with
-        | Ok _ -> None
-        | Error message -> Some message)
-  in
-  match pin_error with
-  | Some message ->
-      Printf.eprintf "pcc_oracle: %s\n" message;
-      2
-  | None ->
-      if nodes < 2 then begin
-        Printf.eprintf "pcc_oracle: --nodes must be at least 2 (got %d)\n" nodes;
-        2
-      end
-      else if golden then run_golden ~nodes:8 ~scale ~seed:7
-      else (
-        match replay with
-        | Some path -> run_replay ~max_lines ~path
-        | None ->
-            if inject_fault then run_fault ~nodes ~scale ~trace
-            else
-              run_sweep ~workload_pin ~seeds ~protocol ~nodes ~scale ~max_lines
-                ~trace ~metrics_path)
+  Cli_common.check_workload_pin ~tool:"pcc_oracle" ~nodes ~scale workload_pin;
+  if golden then run_golden ~nodes:8 ~scale ~seed:7
+  else
+    match replay with
+    | Some path -> run_replay ~max_lines ~path
+    | None ->
+        (* both remaining modes may write the artifact: check its path first *)
+        let trace = Cli_common.check_output ~flag:"--trace" trace in
+        if inject_fault then run_fault ~nodes ~scale ~trace
+        else
+          run_sweep ~workload_pin ~seeds ~protocol ~nodes ~scale ~max_lines ~trace
+            ~metrics_path
 
 let max_lines_arg =
   Arg.(
@@ -227,20 +193,12 @@ let golden_arg =
     value & flag
     & info [ "golden" ] ~doc:"Print the golden-statistics table for test_golden.ml.")
 
-let workload_pin_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "w"; "workload" ] ~docv:"SPEC"
-        ~doc:
-          "Pin every sweep run to one workload spec \
-           ($(i,NAME) or $(i,NAME:key=value,...)) instead of the \
-           random + rotating-benchmark pair per seed.")
-
 let cmd =
   let term =
     Term.(
-      const main $ workload_pin_arg $ Cli_common.seeds ()
+      const main
+      $ Cli_common.workload_pin ~what:"sweep run" ()
+      $ Cli_common.seeds ()
       $ Cli_common.protocol
           ~doc:
             "Coherence backend for the sweep: $(b,adaptive) audits base+full with \

@@ -27,8 +27,8 @@ let run workload_spec machine protocol nodes scale seed delegate_entries rac_kb
   let nodes = Workload.nodes workload in
   match machine_of_string nodes machine with
   | Error message ->
-      prerr_endline message;
-      1
+      Printf.eprintf "pcc_sim: %s\n" message;
+      2
   | Ok config ->
       let config = { config with Config.protocol } in
       let config =
@@ -142,33 +142,17 @@ let max_events_arg =
         ~doc:"Event budget for the run (default: unbounded).")
 
 let flight_dump_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "flight-dump" ] ~docv:"PATH"
-        ~doc:
-          "Arm the always-on flight recorder's post-mortem: on a stall, crash \
-           or uncaught exception the retained event window is dumped to \
-           $(docv) (decode with $(b,pcc_trace --flight)).")
+  Cli_common.output_path "flight-dump"
+    ~doc:
+      "Arm the always-on flight recorder's post-mortem: on a stall, crash or \
+       uncaught exception the retained event window is dumped to $(docv) \
+       (decode with $(b,pcc_trace --flight))."
 
 let record_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "record" ] ~docv:"PATH"
-        ~doc:
-          "Record the executed op stream to $(docv) as a compact binary trace \
-           (atomic temp+rename); re-feed it with \
-           $(b,--workload trace:file=)$(docv).")
-
-let json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"PATH"
-        ~doc:
-          "Write the canonical machine-readable result row (Run_export) to \
-           $(docv).")
+  Cli_common.output_path "record"
+    ~doc:
+      "Record the executed op stream to $(docv) as a compact binary trace \
+       (atomic temp+rename); re-feed it with $(b,--workload trace:file=)$(docv)."
 
 let cmd =
   let term =
@@ -178,7 +162,10 @@ let cmd =
       $ Cli_common.scale () $ Cli_common.seed () $ delegate_arg $ rac_arg $ delay_arg
       $ hop_arg $ max_events_arg
       $ Cli_common.verbose ~doc:"Print per-class message counters." ()
-      $ Cli_common.metrics () $ flight_dump_arg $ record_arg $ json_arg)
+      $ Cli_common.metrics () $ flight_dump_arg $ record_arg
+      $ Cli_common.json
+          ~doc:"Write the canonical machine-readable result row (Run_export) to $(docv)."
+          ())
   in
   Cmd.v
     (Cmd.info "pcc_sim" ~doc:"Simulate a workload on a selectable coherence backend")

@@ -31,6 +31,7 @@ let run_traced ~workload_spec ~config_name ~nodes ~scale ~seed ~sample_every ~ou
   let workload =
     Cli_common.resolve_workload ~tool:"pcc_trace" ~nodes ~scale ~seed workload_spec
   in
+  let out_dir = Cli_common.check_output ~dir:true ~flag:"--out-dir" out_dir in
   let nodes = Workload.nodes workload in
   let config =
     Oracle.Trace.config_of_desc
@@ -41,6 +42,7 @@ let run_traced ~workload_spec ~config_name ~nodes ~scale ~seed ~sample_every ~ou
         scale;
         seed;
         fault = false;
+        net = None;
       }
   in
   let sys = System.create ~config () in
@@ -49,9 +51,6 @@ let run_traced ~workload_spec ~config_name ~nodes ~scale ~seed ~sample_every ~ou
   let result = System.run_stream ~max_events sys (Workload.stream workload) in
   let wall = Unix.gettimeofday () -. wall_start in
   let sim = System.sim sys in
-  (match Unix.mkdir out_dir 0o755 with
-  | () -> ()
-  | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let spans = Telemetry.Recorder.spans recorder in
   let samples = Telemetry.Recorder.samples recorder in
   let recoveries = Telemetry.Recorder.recoveries recorder in

@@ -12,7 +12,7 @@ let () =
      then the differential replay against the abstract model *)
   let desc =
     { Oracle.Trace.bench = "em3d"; config_name = "full"; nodes = 6; scale = 0.15;
-      seed = 11; fault = false }
+      seed = 11; fault = false; net = None }
   in
   let report = Oracle.Runner.run desc in
   Format.printf "em3d under the full machine: %s@."
@@ -28,7 +28,7 @@ let () =
     else
       let desc =
         { Oracle.Trace.bench = "random"; config_name = "full"; nodes = 6;
-          scale = 0.15; seed; fault = true }
+          scale = 0.15; seed; fault = true; net = None }
       in
       let report = Oracle.Runner.run ~diff:false desc in
       if Oracle.Runner.clean report then hunt (seed + 1)

@@ -13,9 +13,22 @@
     humans.
 
     Workloads are deterministic functions of (bench, nodes, scale, seed),
-    so the descriptor fully pins the run. *)
+    and the optional network part pins the fault layer, so the descriptor
+    fully pins the run {!Runner.run} checks. *)
 
 open Pcc_core
+
+type net = {
+  profile : string;
+      (** a {!Pcc_interconnect.Fault.preset} name, or ["zero"] for
+          {!Pcc_interconnect.Fault.zero} *)
+  chaos_seed : int;  (** seed of the profile's chaos stream *)
+  crashes : Pcc_interconnect.Fault.crash list;  (** fail-stop schedule *)
+  txn_timeout : int;  (** {!Config.t.txn_timeout} *)
+  fallback_threshold : int;  (** {!Config.t.fallback_threshold} *)
+}
+(** An unreliable interconnect, its crash schedule, and the recovery
+    knobs the chaos sweep sets. *)
 
 type run_desc = {
   bench : string;  (** a {!Pcc_workload.Workload.of_spec} workload spec *)
@@ -26,15 +39,20 @@ type run_desc = {
   scale : float;  (** epoch-count multiplier for app benchmarks *)
   seed : int;
   fault : bool;  (** inject the stale-update protocol fault (test-only) *)
+  net : net option;  (** [None]: a reliable interconnect, no crashes *)
 }
 
 val config_of_desc : run_desc -> Config.t
-(** Build the simulator configuration the descriptor names.  Raises
-    [Invalid_argument] on an unknown [config_name]. *)
+(** Build the simulator configuration the descriptor names, with the
+    network part applied.  Raises [Invalid_argument] on an unknown
+    [config_name] or fault profile. *)
+
+val workload_of_desc : run_desc -> Pcc_workload.Workload.packed
+(** Resolve the workload via {!Pcc_workload.Workload.of_spec}.  Raises
+    [Invalid_argument] on a spec the registry rejects. *)
 
 val programs_of_desc : run_desc -> Types.op list array
-(** Regenerate the workload via {!Pcc_workload.Workload.of_spec}.  Raises
-    [Invalid_argument] on a spec the registry rejects. *)
+(** The materialized programs of {!workload_of_desc}. *)
 
 val write :
   path:string ->
@@ -43,7 +61,8 @@ val write :
   flight:Flight_ring.dump option ->
   unit
 (** Write a failure artifact (overwrites [path]); the flight line is
-    omitted when [flight] is [None]. *)
+    omitted when [flight] is [None], the header's ["net"] object when
+    [desc.net] is. *)
 
 val read_desc : path:string -> (run_desc, string) result
 (** Parse the run-descriptor header back from a trace file. *)

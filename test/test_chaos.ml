@@ -84,55 +84,28 @@ let test_hub_link_exactly_once () =
 
 (* ---------------- end-to-end chaotic runs ---------------- *)
 
-let count_accesses programs =
-  Array.fold_left
-    (fun acc ops ->
-      List.fold_left
-        (fun acc op ->
-          match op with
-          | Types.Access _ -> acc + 1
-          | Types.Compute _ | Types.Barrier _ -> acc)
-        acc ops)
-    0 programs
+(* A chaotic run through the oracle's one checked-run path.  Runner's
+   verdict covers a drained run, every access committed, no value
+   violation, the auditor's final sweep, the quiescent invariants and the
+   statistics identities; the statistics come back for the
+   recovery-counter assertions. *)
+let chaos_desc ?(config_name = "full") ?(txn_timeout = 2000) ?(fallback_threshold = 2)
+    ?(crashes = []) ~profile ~chaos_seed ~seed bench =
+  { Oracle.Trace.bench; config_name; nodes = 6; scale = 0.1; seed; fault = false;
+    net = Some { profile; chaos_seed; crashes; txn_timeout; fallback_threshold } }
 
-let chaos_run ?(txn_timeout = 2000) ?(fallback_threshold = 2) ~profile ~seed ~bench ()
-    =
-  let desc =
-    { Oracle.Trace.bench; config_name = "full"; nodes = 6; scale = 0.1; seed;
-      fault = false }
-  in
-  let config =
-    {
-      (Oracle.Trace.config_of_desc desc) with
-      Config.net_faults = Some profile;
-      txn_timeout;
-      fallback_threshold;
-    }
-  in
-  let programs = Oracle.Trace.programs_of_desc desc in
-  let sys = System.create ~config () in
-  let _audit = Oracle.Audit.attach sys in
-  let committed = ref 0 in
-  System.on_commit sys (fun _ -> incr committed);
-  let result = System.run_programs ~max_events:20_000_000 sys programs in
-  (result, count_accesses programs, !committed)
-
-let assert_clean (result : System.result) ~total ~committed =
+let checked_run desc =
+  let report = Oracle.Runner.run ~diff:false ~max_events:30_000_000 desc in
+  Alcotest.(check (list string)) "checked run is clean" [] report.violations;
+  let result = Option.get report.result in
   Alcotest.(check bool) "drained" true (result.outcome = Simulator.Drained);
-  Alcotest.(check bool) "no stall report" true (result.stall = None);
-  Alcotest.(check int) "every operation committed" total committed;
   Alcotest.(check int) "no memory violations" 0 result.violations;
-  Alcotest.(check (list string)) "no invariant errors" [] result.invariant_errors
+  result.stats
 
 let test_storm_run_stays_coherent () =
-  let result, total, committed =
-    chaos_run ~profile:(Fault.storm ~seed:42) ~seed:3 ~bench:"random" ()
-  in
-  assert_clean result ~total ~committed;
-  Alcotest.(check bool) "retransmissions happened" true
-    (result.stats.Run_stats.retransmits > 0);
-  Alcotest.(check bool) "duplicates suppressed" true
-    (result.stats.Run_stats.dup_dropped > 0)
+  let stats = checked_run (chaos_desc ~profile:"storm" ~chaos_seed:42 ~seed:3 "random") in
+  Alcotest.(check bool) "retransmissions happened" true (stats.Run_stats.retransmits > 0);
+  Alcotest.(check bool) "duplicates suppressed" true (stats.Run_stats.dup_dropped > 0)
 
 (* Long link outages against a short completion timeout: some line must
    take enough strikes to be demoted to the base protocol, and the run
@@ -143,14 +116,14 @@ let test_outage_forces_fallback () =
   let rec attempt seed =
     if seed > 6 then Alcotest.fail "no seed in 1..6 exercised the fallback path"
     else
-      let result, total, committed =
-        chaos_run ~txn_timeout:1000 ~fallback_threshold:1
-          ~profile:(Fault.outages ~seed:(seed * 131)) ~seed ~bench:"random" ()
+      let stats =
+        checked_run
+          (chaos_desc ~txn_timeout:1000 ~fallback_threshold:1 ~profile:"outages"
+             ~chaos_seed:(seed * 131) ~seed "random")
       in
-      assert_clean result ~total ~committed;
-      if result.stats.Run_stats.fallbacks > 0 then
+      if stats.Run_stats.fallbacks > 0 then
         Alcotest.(check bool) "timeouts preceded the fallback" true
-          (result.stats.Run_stats.txn_timeouts > 0)
+          (stats.Run_stats.txn_timeouts > 0)
       else attempt (seed + 1)
   in
   attempt 1
@@ -159,48 +132,52 @@ let test_outage_forces_fallback () =
    numbers, acks, timeouts armed) — the protocol outcome must be as
    clean as a reliable run. *)
 let test_zero_profile_run_clean () =
-  let result, total, committed =
-    chaos_run ~profile:Fault.zero ~seed:5 ~bench:"random" ()
-  in
-  assert_clean result ~total ~committed;
+  let stats = checked_run (chaos_desc ~profile:"zero" ~chaos_seed:0 ~seed:5 "random") in
   Alcotest.(check int) "nothing injected, nothing suppressed" 0
-    result.stats.Run_stats.dup_dropped
+    stats.Run_stats.dup_dropped
 
 (* ---------------- stall reports ---------------- *)
 
-let test_stall_report_on_event_limit () =
-  let desc =
-    { Oracle.Trace.bench = "random"; config_name = "full"; nodes = 6; scale = 0.1;
-      seed = 4; fault = false }
+(* A checked run cut short by its event budget, on an unhardened machine
+   and on a chaotic one: the report fails with the stall report as its
+   first violation, and carries the flight window where the run stopped,
+   whose newest 64 events are the stall report's recent events. *)
+let test_stall_report desc () =
+  let report = Oracle.Runner.run ~diff:false ~max_events:300 desc in
+  Alcotest.(check bool) "not clean" false (Oracle.Runner.clean report);
+  let stall =
+    match report.result with
+    | Some { stall = Some stall; _ } -> stall
+    | _ -> Alcotest.fail "a truncated run must carry a stall report"
   in
-  let config = Oracle.Trace.config_of_desc desc in
-  let programs = Oracle.Trace.programs_of_desc desc in
-  let sys = System.create ~config () in
-  let result = System.run_programs ~max_events:300 sys programs in
-  match result.System.stall with
-  | None -> Alcotest.fail "a truncated run must carry a stall report"
-  | Some stall ->
-      Alcotest.(check bool) "event limit surfaced" true
-        (stall.System.stall_outcome = Simulator.Event_limit_reached);
-      Alcotest.(check bool) "unfinished processors reported" true
-        (stall.System.stall_unfinished > 0);
-      (* recent events are the flight ring's newest, on an unhardened
-         machine too *)
-      let window = Flight_ring.events (System.flight sys) in
-      let tail = List.filteri (fun i _ -> i >= List.length window - 64) window in
-      Alcotest.(check int) "64 recent events" 64 (List.length stall.System.stall_recent);
-      Alcotest.(check bool) "recent events are the flight ring's tail" true
-        (stall.System.stall_recent = tail);
-      (* the report is renderable *)
-      let text = Format.asprintf "%a" System.pp_stall_report stall in
-      Alcotest.(check bool) "report names the outcome" true
-        (contains_sub ~sub:"event-limit" text);
-      List.iter
-        (fun e ->
-          let rendered = Format.asprintf "%a" Flight_ring.pp_event e in
-          if not (contains_sub ~sub:rendered text) then
-            Alcotest.failf "report does not list %S" rendered)
-        tail
+  Alcotest.(check bool) "event limit surfaced" true
+    (stall.System.stall_outcome = Simulator.Event_limit_reached);
+  Alcotest.(check bool) "unfinished processors reported" true
+    (stall.System.stall_unfinished > 0);
+  let window =
+    match report.flight with
+    | Some dump -> dump.d_events
+    | None -> Alcotest.fail "a failing report carries a flight window"
+  in
+  let tail = Flight_ring.last 64 window in
+  Alcotest.(check int) "64 recent events" 64 (List.length stall.System.stall_recent);
+  Alcotest.(check bool) "recent events are the flight ring's tail" true
+    (stall.System.stall_recent = tail);
+  (* the report is renderable, and it is what the run failed with *)
+  let text = Format.asprintf "%a" System.pp_stall_report stall in
+  Alcotest.(check (option string)) "the stall is the first violation"
+    (Some ("did not quiesce: " ^ text))
+    (List.nth_opt report.violations 0);
+  Alcotest.(check bool) "report names the outcome" true
+    (contains_sub ~sub:"event-limit" text);
+  Alcotest.(check bool) "an access went uncommitted" true
+    (List.exists (contains_sub ~sub:"committed") report.violations);
+  List.iter
+    (fun e ->
+      let rendered = Format.asprintf "%a" Flight_ring.pp_event e in
+      if not (contains_sub ~sub:rendered text) then
+        Alcotest.failf "report does not list %S" rendered)
+    tail
 
 let suite =
   [
@@ -213,5 +190,9 @@ let suite =
     Alcotest.test_case "zero-probability profile runs clean" `Quick
       test_zero_profile_run_clean;
     Alcotest.test_case "stall report on event limit" `Quick
-      test_stall_report_on_event_limit;
+      (test_stall_report
+         { Oracle.Trace.bench = "random"; config_name = "full"; nodes = 6; scale = 0.1;
+           seed = 4; fault = false; net = None });
+    Alcotest.test_case "checked run reports a stall" `Quick
+      (test_stall_report (chaos_desc ~profile:"drops" ~chaos_seed:7 ~seed:4 "random"));
   ]

@@ -14,38 +14,15 @@ module Oracle = Pcc_oracle
 
 let nodes = 6
 
-let crash_profile ?(base = Fault.zero) ~seed ~restart () =
-  let crashes =
-    Fault.crash_schedule ~seed ~nodes ~victims:1 ~window:(3_000, 9_000)
-      ?restart_after:(if restart then Some 5_000 else None) ()
-  in
-  { base with Fault.crashes }
+let crashes ~seed =
+  Fault.crash_schedule ~seed ~nodes ~victims:1 ~window:(3_000, 9_000)
+    ~restart_after:5_000 ()
 
-let run ?profile ?(bench = "random") ?(config_name = "full") ~seed () =
-  let desc =
-    { Oracle.Trace.bench; config_name; nodes; scale = 0.1; seed; fault = false }
-  in
-  let config =
-    match profile with
-    | None -> Oracle.Trace.config_of_desc desc
-    | Some p -> Config.with_faults (Oracle.Trace.config_of_desc desc) p
-  in
-  let programs = Oracle.Trace.programs_of_desc desc in
-  let sys = System.create ~config () in
-  let _audit = Oracle.Audit.attach sys in
-  let committed = ref 0 in
-  System.on_commit sys (fun _ -> incr committed);
-  let result = System.run_programs ~max_events:30_000_000 sys programs in
-  (sys, result, !committed)
+let crash_profile ~seed = { Fault.zero with crashes = crashes ~seed }
 
-let total_accesses programs =
-  Array.fold_left
-    (fun acc ops ->
-      List.fold_left
-        (fun acc op -> match op with Types.Access _ -> acc + 1 | _ -> acc)
-        acc ops)
-    0 programs
-
+(* The direct runs below (a hand-built program, a victim that never
+   restarts) are not descriptors, so they check by hand what the
+   checked-run path checks. *)
 let assert_clean sys (result : System.result) =
   Alcotest.(check bool) "drained" true (result.outcome = Simulator.Drained);
   Alcotest.(check bool) "no stall report" true (result.stall = None);
@@ -56,26 +33,23 @@ let assert_clean sys (result : System.result) =
 
 (* ---------------- crash/restart matrix ---------------- *)
 
+(* One descriptor per cell: [Runner] checks the drained run, every
+   operation committed, the invariants and the statistics identities. *)
 let matrix_cell ~config_name ~chaos ~seed =
-  let base = if chaos then Fault.drops ~seed:(seed + 1000) else Fault.zero in
-  let profile = crash_profile ~base ~seed ~restart:true () in
-  let sys, result, committed = run ~profile ~config_name ~seed () in
-  assert_clean sys result;
-  let stats = result.stats in
+  let profile, chaos_seed = if chaos then ("drops", seed + 1000) else ("zero", 0) in
+  let defaults = Config.base () in
+  let stats =
+    Test_chaos.checked_run
+      (Test_chaos.chaos_desc ~config_name ~txn_timeout:defaults.txn_timeout
+         ~fallback_threshold:defaults.fallback_threshold ~crashes:(crashes ~seed)
+         ~profile ~chaos_seed ~seed "random")
+  in
   Alcotest.(check int)
     (Printf.sprintf "%s: one crash" config_name)
     1 stats.Run_stats.crashes;
   Alcotest.(check int)
     (Printf.sprintf "%s: one restart" config_name)
-    1 stats.Run_stats.restarts;
-  let desc =
-    { Oracle.Trace.bench = "random"; config_name; nodes; scale = 0.1; seed;
-      fault = false }
-  in
-  Alcotest.(check int)
-    (Printf.sprintf "%s: every operation committed" config_name)
-    (total_accesses (Oracle.Trace.programs_of_desc desc))
-    committed
+    1 stats.Run_stats.restarts
 
 let test_crash_restart_matrix () =
   List.iter
@@ -175,10 +149,10 @@ let test_no_restart_survivors_finish () =
    outage into the Perfetto export. *)
 let test_recovery_spans () =
   let seed = 5 in
-  let profile = crash_profile ~seed ~restart:true () in
+  let profile = crash_profile ~seed in
   let desc =
     { Oracle.Trace.bench = "random"; config_name = "full"; nodes; scale = 0.1;
-      seed; fault = false }
+      seed; fault = false; net = None }
   in
   let config = Config.with_faults (Oracle.Trace.config_of_desc desc) profile in
   let programs = Oracle.Trace.programs_of_desc desc in
@@ -228,9 +202,9 @@ let crash_sweep_tasks () =
         fun () ->
           let desc =
             { Oracle.Trace.bench = "random"; config_name = "full"; nodes;
-              scale = 0.1; seed; fault = false }
+              scale = 0.1; seed; fault = false; net = None }
           in
-          let profile = crash_profile ~seed ~restart:true () in
+          let profile = crash_profile ~seed in
           let config = Config.with_faults (Oracle.Trace.config_of_desc desc) profile in
           let programs = Oracle.Trace.programs_of_desc desc in
           Run_export.to_string ~key (System.run ~config ~programs ()) ))

@@ -36,7 +36,7 @@ let golden =
 let run_one bench config_name =
   let desc =
     { Oracle.Trace.bench; config_name; nodes = 8; scale = 0.15; seed = 7;
-      fault = false }
+      fault = false; net = None }
   in
   let config = Oracle.Trace.config_of_desc desc in
   let programs = Oracle.Trace.programs_of_desc desc in

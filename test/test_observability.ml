@@ -146,7 +146,7 @@ let test_registry_jobs_determinism () =
 let test_stall_dump_wellformed () =
   let desc =
     { Oracle.Trace.bench = "random"; config_name = "full"; nodes = 6; scale = 0.1;
-      seed = 4; fault = false }
+      seed = 4; fault = false; net = None }
   in
   let config = Oracle.Trace.config_of_desc desc in
   let programs = Oracle.Trace.programs_of_desc desc in
@@ -238,7 +238,7 @@ let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: r -> drop 
 let one_stream ~name ~config ~bench ~expect =
   let desc =
     { Oracle.Trace.bench; config_name = "full"; nodes = 6; scale = 0.1; seed = 3;
-      fault = false }
+      fault = false; net = None }
   in
   let programs = Oracle.Trace.programs_of_desc desc in
   let sys = System.create ~config () in

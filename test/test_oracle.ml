@@ -7,6 +7,7 @@
 
 open Pcc_core
 module Oracle = Pcc_oracle
+module Fault = Pcc_interconnect.Fault
 module Jsonl = Pcc_stats.Jsonl
 module Q = QCheck
 
@@ -54,7 +55,7 @@ let prop_jsonl_roundtrip =
 let test_trace_roundtrip () =
   let desc =
     { Oracle.Trace.bench = "em3d"; config_name = "full"; nodes = 6; scale = 0.25;
-      seed = 17; fault = true }
+      seed = 17; fault = true; net = None }
   in
   let ring = Flight_ring.create ~capacity:4 () in
   Flight_ring.record ring ~time:3 ~kind:Flight_ring.k_send ~detail:4 ~src:1 ~dst:2
@@ -73,6 +74,45 @@ let test_trace_roundtrip () =
   match window with
   | Ok d -> Alcotest.(check bool) "flight window round-trips" true (d = flight)
   | Error e -> Alcotest.failf "Flight.load: %s" e
+
+(* The network part pins a chaos run: it must survive the artifact, and
+   a descriptor without one keeps the header the format always had (the
+   one [pcc_oracle --inject-fault] writes, byte for byte), so old
+   artifacts still parse. *)
+let test_trace_net_roundtrip () =
+  let old_header =
+    {|{"kind":"run","bench":"random","config":"full","nodes":6,"scale":0.14999999999999999,"seed":2,"fault":true}|}
+  in
+  let plain =
+    { Oracle.Trace.bench = "random"; config_name = "full"; nodes = 6; scale = 0.15;
+      seed = 2; fault = true; net = None }
+  in
+  let crashes =
+    [ { Fault.victim = 1; crash_at = 4_000; restart_after = Some 8_000 };
+      { Fault.victim = 3; crash_at = 5_500; restart_after = None } ]
+  in
+  let chaotic =
+    { plain with
+      fault = false;
+      net = Some { profile = "storm"; chaos_seed = 8_191; crashes; txn_timeout = 2_000;
+                   fallback_threshold = 2 } }
+  in
+  let path = Filename.temp_file "pcc-oracle" ".jsonl" in
+  let write_read desc =
+    Oracle.Trace.write ~path ~desc ~violations:[] ~flight:None;
+    (In_channel.with_open_text path In_channel.input_line, Oracle.Trace.read_desc ~path)
+  in
+  let chaotic_header, chaotic' = write_read chaotic in
+  let plain_header, _ = write_read plain in
+  Out_channel.with_open_text path (fun oc -> output_string oc (old_header ^ "\n"));
+  let old = Oracle.Trace.read_desc ~path in
+  Sys.remove path;
+  Alcotest.(check bool) "network part round-trips" true (chaotic' = Ok chaotic);
+  Alcotest.(check bool) "header names the network part" true
+    (Astring_contains.contains (Option.get chaotic_header) {|"net":{"profile":"storm"|});
+  Alcotest.(check (option string)) "header without it is unchanged" (Some old_header)
+    plain_header;
+  Alcotest.(check bool) "an old header still parses" true (old = Ok plain)
 
 (* ---------------- per-location coherence checker ---------------- *)
 
@@ -234,7 +274,7 @@ let test_value_violation_stops_run () =
       let stops seed =
         let desc =
           { Oracle.Trace.bench = "random"; config_name; nodes = 6; scale = 0.15; seed;
-            fault = false }
+            fault = false; net = None }
         in
         let config = { (Oracle.Trace.config_of_desc desc) with Config.inject_fault = Some fault } in
         stops_at_flagged_commit ~config (Oracle.Trace.programs_of_desc desc)
@@ -254,7 +294,7 @@ let test_fault_is_caught () =
   while !caught = None && !seed <= 10 do
     let desc =
       { Oracle.Trace.bench = "random"; config_name = "full"; nodes = 6; scale = 0.15;
-        seed = !seed; fault = true }
+        seed = !seed; fault = true; net = None }
     in
     let report = Oracle.Runner.run ~diff:false desc in
     if not (Oracle.Runner.clean report) then caught := Some report;
@@ -291,7 +331,7 @@ let test_fault_free_config_ignores_flag () =
      the fault flag must be inert there *)
   let desc =
     { Oracle.Trace.bench = "random"; config_name = "base"; nodes = 6; scale = 0.15;
-      seed = 2; fault = true }
+      seed = 2; fault = true; net = None }
   in
   let report = Oracle.Runner.run ~diff:false desc in
   Alcotest.(check bool) "clean" true (Oracle.Runner.clean report)
@@ -320,7 +360,7 @@ let test_all_benchmarks_clean () =
         (fun config_name ->
           clean_run
             { Oracle.Trace.bench = app.name; config_name; nodes = 6; scale = 0.1;
-              seed; fault = false })
+              seed; fault = false; net = None })
         [ "base"; "full" ])
     Pcc_workload.Apps.all
 
@@ -330,7 +370,7 @@ let prop_random_runs_clean =
     (fun (s, shape) ->
       let desc =
         { Oracle.Trace.bench = "random"; config_name = (if shape mod 2 = 0 then "full" else "rac");
-          nodes = 4 + (shape mod 3); scale = 0.1; seed = 1 + s; fault = false }
+          nodes = 4 + (shape mod 3); scale = 0.1; seed = 1 + s; fault = false; net = None }
       in
       let report = Oracle.Runner.run ~max_lines:150 desc in
       if not (Oracle.Runner.clean report) then
@@ -342,6 +382,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_jsonl_roundtrip;
     Alcotest.test_case "trace artifact round-trips" `Quick test_trace_roundtrip;
+    Alcotest.test_case "trace network part round-trips" `Quick test_trace_net_roundtrip;
   ]
   @ List.map
       (fun (name, steps) -> Alcotest.test_case name `Quick (run_memcheck_case steps))

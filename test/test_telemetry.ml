@@ -14,7 +14,7 @@ module Jsonl = Pcc_stats.Jsonl
 
 let desc =
   { Oracle.Trace.bench = "em3d"; config_name = "full"; nodes = 4; scale = 0.05;
-    seed = 11; fault = false }
+    seed = 11; fault = false; net = None }
 
 (* One shared instrumented run: every test below reads from it. *)
 let instrumented =
