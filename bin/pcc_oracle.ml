@@ -128,7 +128,8 @@ let run_replay ~max_lines ~path =
 
 let run_golden ~nodes ~scale ~seed =
   (* print the pinned-statistics table in the exact form test_golden.ml
-     embeds, for regeneration after an intentional protocol change *)
+     embeds, for regeneration after an intentional protocol change; the
+     snooping backends are pinned next to the adaptive ones *)
   List.iter
     (fun config_name ->
       List.iter
@@ -147,7 +148,7 @@ let run_golden ~nodes ~scale ~seed =
             s.Run_stats.remote_2hop s.Run_stats.remote_3hop s.Run_stats.delegations
             s.Run_stats.updates_sent)
         Workloads.all)
-    configs;
+    (configs @ [ "msi"; "mesi" ]);
   0
 
 let main workload_pin seeds protocol nodes scale max_lines trace replay

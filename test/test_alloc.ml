@@ -4,8 +4,9 @@
    few hundred words per committed processor operation; an accidental
    closure, boxed option, or list append in the event loop shows up here
    as an order-of-magnitude jump.  Budgets are deliberately loose (~2x
-   the measured value) so they only trip on real regressions, never on
-   GC accounting noise. *)
+   the measured value; 511 words per commit on the MSI snooping machine)
+   so they only trip on real regressions, never on GC accounting
+   noise. *)
 
 open Pcc_core
 
@@ -148,6 +149,8 @@ let suite =
       (check_checker "checker" 665.0 adaptive_model);
     Alcotest.test_case "snooping model checker under budget" `Quick
       (check_checker "snoop checker" 665.0 snoop_model);
+    Alcotest.test_case "msi snooping machine under budget" `Quick
+      (check "msi" 1000.0 (Config.snoop ~nodes Types.Msi ()));
     Alcotest.test_case "full adaptive machine under budget" `Quick
       (check "full" 500.0 (Config.small_full ~nodes ()));
     Alcotest.test_case "hardened machine under budget" `Quick

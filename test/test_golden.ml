@@ -1,8 +1,8 @@
 (* Golden-statistics regression: the classified miss counts, delegation
    activity, and update traffic of every benchmark are pinned for one
-   fixed machine size and seed, under both the baseline and the fully
-   adaptive configuration.  Any protocol change that shifts these numbers
-   is visible here first.
+   fixed machine size and seed, under the baseline and the fully
+   adaptive configuration and under the MSI and MESI snooping backends.
+   Any protocol change that shifts these numbers is visible here first.
 
    The table is generated, not hand-written.  After an intentional
    protocol change, regenerate it with
@@ -31,6 +31,20 @@ let golden =
     ("cg", "full", (1431, 224, 584, 260, 16, 224));
     ("mg", "full", (465, 0, 3214, 504, 0, 0));
     ("appbt", "full", (401, 0, 2242, 342, 0, 0));
+    ("barnes", "msi", (1000, 0, 5833, 0, 0, 0));
+    ("ocean", "msi", (1063, 0, 384, 0, 0, 0));
+    ("em3d", "msi", (567, 0, 822, 0, 0, 0));
+    ("lu", "msi", (739, 0, 480, 0, 0, 0));
+    ("cg", "msi", (1502, 0, 997, 0, 0, 0));
+    ("mg", "msi", (630, 0, 3553, 0, 0, 0));
+    ("appbt", "msi", (591, 0, 2394, 0, 0, 0));
+    ("barnes", "mesi", (994, 0, 5833, 0, 0, 0));
+    ("ocean", "mesi", (1023, 0, 384, 0, 0, 0));
+    ("em3d", "mesi", (564, 0, 822, 0, 0, 0));
+    ("lu", "mesi", (731, 0, 480, 0, 0, 0));
+    ("cg", "mesi", (1451, 0, 999, 0, 0, 0));
+    ("mg", "mesi", (630, 0, 3553, 0, 0, 0));
+    ("appbt", "mesi", (591, 0, 2394, 0, 0, 0));
   ]
 
 let run_one bench config_name =
