@@ -73,15 +73,15 @@ let bump t =
 
 let touch t entry = entry.last_used <- bump t
 
-(* index of [key] within its set's window, or -1 *)
+(* index of [key] within its set's window, or -1; a loop rather than a
+   local recursive function, which would allocate a closure per lookup *)
 let way_index t keys key =
   let base = set_of t key * t.ways in
-  let rec scan i =
-    if i = t.ways then -1
-    else if Array.unsafe_get keys (base + i) = key then base + i
-    else scan (i + 1)
-  in
-  scan 0
+  let i = ref 0 in
+  while !i < t.ways && Array.unsafe_get keys (base + !i) <> key do
+    incr i
+  done;
+  if !i = t.ways then -1 else base + !i
 
 let slot_exn slots i =
   match Array.unsafe_get slots i with Some s -> s | None -> assert false
