@@ -11,12 +11,29 @@ module Checker = Pcc.Checker
 module Model = Pcc.Protocol_model
 module Litmus = Pcc.Litmus
 
-let bug_of_string = function
+(* The --bug names of each backend: the adaptive model's bugs, and the
+   snooping rules' planted fault (the simulator's own hook). *)
+let adaptive_bugs =
+  [
+    ("skip-invals", Model.Skip_invals_on_delegate);
+    ("no-poison", Model.No_poison_on_inval);
+    ("no-resharing", Model.Updates_without_resharing);
+  ]
+
+let snoop_bugs = [ ("upgr-skips-invals", Pcc.Config.Snoop_upgr_skips_invals) ]
+
+(* [Ok None] without --bug.  An unknown name, or a bug of the other
+   backend, is an error naming the bugs [protocol] takes. *)
+let lookup_bug ~protocol bugs = function
   | "" -> Ok None
-  | "skip-invals" -> Ok (Some Model.Skip_invals_on_delegate)
-  | "no-poison" -> Ok (Some Model.No_poison_on_inval)
-  | "no-resharing" -> Ok (Some Model.Updates_without_resharing)
-  | other -> Error (Printf.sprintf "unknown bug %S" other)
+  | name -> (
+      match List.assoc_opt name bugs with
+      | Some bug -> Ok (Some bug)
+      | None ->
+          Error
+            (Printf.sprintf "pcc_check: --protocol %s has no bug %S (valid: %s)"
+               (Pcc.Protocol.to_string protocol) name
+               (String.concat ", " (List.map fst bugs))))
 
 let workload_of_string = function
   | "symmetric" -> Ok Model.Symmetric
@@ -40,13 +57,6 @@ let checker_metrics registry (stats : Pcc.Checker.stats) ~violations ~deadlocks 
   R.counter registry "pcc_check_invariant_violations" violations;
   R.counter registry "pcc_check_deadlocks" deadlocks
 
-let snoop_bug_of_string = function
-  | "" -> Ok None
-  | "upgr-skips-invals" -> Ok (Some Pcc.Snoop_model.Upgr_skips_invals)
-  | other ->
-      Error
-        (Printf.sprintf "unknown snooping bug %S (expected upgr-skips-invals)" other)
-
 let report_outcome pp outcome metrics_path =
   Format.printf "%a@." (Checker.pp_outcome pp) outcome;
   Cli_common.write_metrics metrics_path (fun registry ->
@@ -56,19 +66,24 @@ let report_outcome pp outcome metrics_path =
           checker_metrics registry stats ~violations:1 ~deadlocks:0
       | Checker.Deadlock { stats; _ } ->
           checker_metrics registry stats ~violations:0 ~deadlocks:1);
-  match outcome with Checker.Ok _ -> 0 | _ -> 2
+  (* a run cut off by --max-states proves nothing: 1, not OK *)
+  match outcome with
+  | Checker.Ok { complete = true; _ } -> 0
+  | Checker.Ok { complete = false; _ } -> 1
+  | Checker.Invariant_violation _ | Checker.Deadlock _ -> 2
 
 let run_model_check protocol nodes lines ops workload delegation updates bug max_states
     jobs spill por metrics_path =
+  let fail message =
+    prerr_endline message;
+    2
+  in
   match protocol with
   | Pcc.Types.Msi | Pcc.Types.Mesi -> (
-      match snoop_bug_of_string bug with
-      | Error message ->
-          prerr_endline message;
-          1
+      match lookup_bug ~protocol snoop_bugs bug with
+      | Error message -> fail message
       | Ok _ when nodes > 5 ->
-          Printf.eprintf "pcc_check: the snooping model has 2..5 nodes, not %d\n" nodes;
-          2
+          fail (Printf.sprintf "pcc_check: the snooping model has 2..5 nodes, not %d" nodes)
       | Ok bug ->
           let params =
             {
@@ -83,10 +98,8 @@ let run_model_check protocol nodes lines ops workload delegation updates bug max
           let outcome = Checker.run (module M) ~max_states ~jobs ?spill () in
           report_outcome M.pp outcome metrics_path)
   | Pcc.Types.Adaptive -> (
-      match (bug_of_string bug, workload_of_string workload) with
-      | Error message, _ | _, Error message ->
-          prerr_endline message;
-          2
+      match (lookup_bug ~protocol adaptive_bugs bug, workload_of_string workload) with
+      | Error message, _ | _, Error message -> fail message
       | Ok bug, Ok workload ->
           let params =
             {
@@ -199,20 +212,27 @@ let bug_arg =
   Arg.(
     value
     & opt string ""
-    & info [ "bug" ] ~doc:"Inject a protocol bug: skip-invals, no-poison, no-resharing.")
+    & info [ "bug" ]
+        ~doc:
+          (Printf.sprintf "Inject a protocol bug: %s (adaptive), or %s (msi, mesi)."
+             (String.concat ", " (List.map fst adaptive_bugs))
+             (String.concat ", " (List.map fst snoop_bugs))))
 
 let max_states_arg = Cli_common.max_states ()
 
 let jobs_arg = Cli_common.jobs ~what:"frontier chunks (or litmus runs)" ()
 
+(* checked (and created when missing) before any exploration *)
 let spill_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "spill" ] ~docv:"DIR"
-        ~doc:
-          "Spill the visited set and counterexample edges to $(docv) so memory stays \
-           bounded by the frontier.")
+  Term.(
+    const (Option.map (Cli_common.check_output ~dir:true ~flag:"--spill"))
+    $ Arg.(
+        value
+        & opt (some string) None
+        & info [ "spill" ] ~docv:"DIR"
+            ~doc:
+              "Spill the visited set and counterexample edges to $(docv) so memory stays \
+               bounded by the frontier."))
 
 let por_arg =
   Arg.(
@@ -247,8 +267,8 @@ let cmd =
           ~doc:
             "Which backend to verify: $(b,adaptive) checks the directory-protocol \
              model (or the full litmus matrix, every backend included); $(b,msi) / \
-             $(b,mesi) check the atomic-bus snooping model (bug: \
-             $(b,upgr-skips-invals)) or restrict the litmus matrix to that backend." ()
+             $(b,mesi) check the atomic-bus snooping model or restrict the litmus matrix \
+             to that backend." ()
       $ nodes_arg $ lines_arg $ ops_arg
       $ workload_arg $ delegation_arg $ updates_arg $ bug_arg $ max_states_arg
       $ jobs_arg $ spill_arg $ por_arg $ Cli_common.metrics ())

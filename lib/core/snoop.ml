@@ -1,4 +1,5 @@
 module Sim = Pcc_engine.Simulator
+module Rules = Snoop_rules
 
 (* ------------------------------------------------------------------ *)
 (* State                                                               *)
@@ -56,15 +57,30 @@ and bus = {
   mutable members : t array;  (* back-pointers, filled at machine creation *)
 }
 
-let id t = t.id
-
-let busy t = t.pending <> None
-
 let home_of line = Types.Layout.home_of_line line
 
 let mem_read t line = match Hashtbl.find_opt t.mem line with Some v -> v | None -> 0
 
 let mem_write t line value = Hashtbl.replace t.mem line value
+
+(* The L2 encoding of the rules' four states (see snoop.mli). *)
+let copy_of_entry ({ state; dirty; _ } : L2.entry) : Rules.copy =
+  match (state, dirty) with Shared, _ -> S | Exclusive, false -> E | Exclusive, true -> M
+
+let copy_of = function None -> Rules.I | Some entry -> copy_of_entry entry
+
+let entry_of (copy : Rules.copy) value : L2.entry =
+  match copy with
+  | S -> { state = Shared; value; dirty = false }
+  | E | M -> { state = Exclusive; value; dirty = copy = M }
+  | I -> invalid_arg "Snoop.entry_of: I is an absent line"
+
+(* Commit a store's new version over the resident line. *)
+let write_version t line =
+  let version = t.next_version () in
+  L2.set t.l2 line
+    (entry_of (Rules.fill t.config.protocol Types.Store ~others:false) version);
+  version
 
 (* ------------------------------------------------------------------ *)
 (* Messaging and timing helpers                                        *)
@@ -134,12 +150,12 @@ and on_grant t =
       let line = p.line in
       let tid = p.tid in
       let cmd =
-        match (p.kind, L2.peek t.l2 line) with
-        | Types.Load, _ -> Message.Bus_rd { line; tid }
-        | Types.Store, Some L2.{ state = Shared; _ } ->
+        match Rules.command p.kind (copy_of (L2.peek t.l2 line)) with
+        | Rd -> Message.Bus_rd { line; tid }
+        | Rdx -> Message.Bus_rdx { line; tid }
+        | Upgr ->
             p.upgrade <- true;
             Message.Bus_upgr { line; tid }
-        | Types.Store, _ -> Message.Bus_rdx { line; tid }
       in
       for dst = 0 to t.config.nodes - 1 do
         if dst <> t.id then send t ~dst cmd
@@ -161,40 +177,33 @@ and on_grant t =
    read the stale word); clean lines drop silently. *)
 and handle_victim t p = function
   | None -> ()
-  | Some L2.{ victim_line; victim_entry = { state = Exclusive; value; dirty = true } }
-    ->
-      t.stats.writebacks <- t.stats.writebacks + 1;
-      if home_of victim_line = t.id then mem_write t victim_line value
-      else begin
-        p.wb_expected <- p.wb_expected + 1;
-        send t ~dst:(home_of victim_line) (Bus_wb { line = victim_line; value })
-      end
-  | Some _ -> ()
+  | Some L2.{ victim_line; victim_entry } -> (
+      match Rules.evict (copy_of_entry victim_entry) with
+      | Drop -> ()
+      | Writeback ->
+          let value = victim_entry.value in
+          t.stats.writebacks <- t.stats.writebacks + 1;
+          if home_of victim_line = t.id then mem_write t victim_line value
+          else begin
+            p.wb_expected <- p.wb_expected + 1;
+            send t ~dst:(home_of victim_line) (Bus_wb { line = victim_line; value })
+          end)
 
+(* the line's data: the owner's flush when an owner answered, home
+   memory otherwise (guarded by [data_ready]) *)
+and data p =
+  match (p.owner_seen, p.supplied, p.mem_value) with
+  | true, Some v, _ | false, _, Some v -> v
+  | _ -> assert false
+
+(* a store's fill holds the old data until the commit writes the new
+   version *)
 and do_fill t p =
   p.filled <- true;
-  let data =
-    match (p.owner_seen, p.supplied, p.mem_value) with
-    | true, Some v, _ -> v
-    | false, _, Some v -> v
-    | _ -> assert false (* guarded by [data_ready] *)
+  let copy =
+    Rules.fill t.config.protocol p.kind ~others:(p.shared_seen || p.owner_seen)
   in
-  let entry =
-    match p.kind with
-    | Types.Load ->
-        (* MESI grants exclusive-clean on a sharerless read; MSI always
-           fills Shared *)
-        if
-          t.config.protocol = Types.Mesi
-          && (not p.shared_seen)
-          && not p.owner_seen
-        then L2.{ state = Exclusive; value = data; dirty = false }
-        else L2.{ state = Shared; value = data; dirty = false }
-    | Types.Store ->
-        (* placeholder until the commit writes the new version *)
-        L2.{ state = Exclusive; value = data; dirty = false }
-  in
-  handle_victim t p (L2.fill t.l2 p.line entry)
+  handle_victim t p (L2.fill t.l2 p.line (entry_of copy (data p)))
 
 and try_complete t p =
   if p.granted && p.resp_needed = 0 then begin
@@ -217,18 +226,7 @@ and commit t p =
     if home_of p.line = t.id && not p.owner_seen then Types.Local_mem
     else Types.Remote_2hop
   in
-  let value =
-    match p.kind with
-    | Types.Load -> (
-        match (p.owner_seen, p.supplied, p.mem_value) with
-        | true, Some v, _ -> v
-        | false, _, Some v -> v
-        | _ -> assert false)
-    | Types.Store ->
-        let version = t.next_version () in
-        L2.set t.l2 p.line L2.{ state = Exclusive; value = version; dirty = true };
-        version
-  in
+  let value = match p.kind with Types.Load -> data p | Types.Store -> write_version t p.line in
   t.pending <- None;
   release_bus t;
   Probe.commit t.probe ~node:t.id ~kind:p.kind ~line:p.line ~value ~started:p.started
@@ -239,79 +237,41 @@ and commit t p =
 (* Snooper side                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Every snooper answers every command; the home's answer additionally
-   carries the memory word and is therefore delayed by the DRAM access
-   (read in parallel with the snoop, as a real memory controller
-   would). *)
-let respond t ~requester ~tid line ~shared ~owner ~flushed_home =
-  if home_of line = t.id then
-    let delay = dram_delay t in
-    Sim.schedule t.sim ~delay (fun () ->
+(* One snooper's reaction to a bus command: the rules give its next
+   state and what it does with its data.  Dirty data owed to home memory
+   is written here when this node is home, rides the requester's flush
+   when the requester is home, and otherwise goes home in a flush the
+   requester waits for before releasing the bus.  Every snooper answers;
+   the home's answer to a read carries the memory word, read in parallel
+   with the snoop and so delayed by the DRAM access. *)
+let on_bus_cmd t (cmd : Rules.cmd) ~requester ~tid line =
+  let entry = L2.peek t.l2 line in
+  let copy = copy_of entry in
+  let value = match entry with Some e -> e.value | None -> 0 in
+  let next = Rules.snoop t.config.inject_fault cmd copy in
+  if next <> copy then begin
+    match next with
+    | I -> ignore (L2.invalidate t.l2 line)
+    | S | E | M -> L2.set t.l2 line (entry_of next value)
+  end;
+  let supply = Rules.supply cmd copy in
+  let home = home_of line in
+  let owed = supply = Flush_home in
+  let flushed_home = owed && home <> t.id && home <> requester in
+  if owed && home = t.id then mem_write t line value;
+  if flushed_home then send t ~dst:home (Bus_flush { line; value; tid; requester; dirty = true });
+  if supply <> Keep then
+    send t ~dst:requester
+      (Bus_flush { line; value; tid; requester; dirty = owed && home = requester });
+  let shared = cmd = Rd && next <> I and owner = supply <> Keep in
+  if home = t.id && cmd <> Upgr then
+    Sim.schedule t.sim ~delay:(dram_delay t) (fun () ->
         send t ~dst:requester
           (Snoop_resp
-             {
-               line;
-               tid;
-               shared;
-               owner;
-               flushed_home;
-               mem_value = Some (mem_read t line);
-             }))
+             { line; tid; shared; owner; flushed_home; mem_value = Some (mem_read t line) }))
   else
     send t ~dst:requester
       (Snoop_resp { line; tid; shared; owner; flushed_home; mem_value = None })
-
-let on_bus_rd t ~requester ~tid line =
-  match L2.peek t.l2 line with
-  | Some L2.{ state = Exclusive; value; dirty } ->
-      (* supply cache-to-cache and downgrade to S; dirty data reaches
-         home memory before the requester releases the bus *)
-      L2.set t.l2 line L2.{ state = Shared; value; dirty = false };
-      let flushed_home =
-        if dirty then
-          if home_of line = t.id then begin
-            mem_write t line value;
-            false
-          end
-          else if home_of line = requester then false
-            (* the single flush below updates the requester's memory *)
-          else begin
-            send t ~dst:(home_of line)
-              (Bus_flush { line; value; tid; requester; dirty = true });
-            true
-          end
-        else false
-      in
-      send t ~dst:requester
-        (Bus_flush
-           { line; value; tid; requester; dirty = dirty && home_of line = requester });
-      respond t ~requester ~tid line ~shared:true ~owner:true ~flushed_home
-  | Some L2.{ state = Shared; _ } ->
-      respond t ~requester ~tid line ~shared:true ~owner:false ~flushed_home:false
-  | None -> respond t ~requester ~tid line ~shared:false ~owner:false ~flushed_home:false
-
-let on_bus_rdx t ~requester ~tid line =
-  match L2.peek t.l2 line with
-  | Some L2.{ state = Exclusive; value; _ } ->
-      (* the new owner installs a fresh version over the whole line, so
-         the old dirty word dies with the invalidation — memory staleness
-         stays covered by the requester's M copy *)
-      ignore (L2.invalidate t.l2 line);
-      send t ~dst:requester (Bus_flush { line; value; tid; requester; dirty = false });
-      respond t ~requester ~tid line ~shared:false ~owner:true ~flushed_home:false
-  | Some L2.{ state = Shared; _ } ->
-      ignore (L2.invalidate t.l2 line);
-      respond t ~requester ~tid line ~shared:false ~owner:false ~flushed_home:false
-  | None -> respond t ~requester ~tid line ~shared:false ~owner:false ~flushed_home:false
-
-let on_bus_upgr t ~requester ~tid line =
-  (match t.config.inject_fault with
-  | Some Config.Snoop_upgr_skips_invals -> () (* planted bug: stale S survives *)
-  | Some Config.Stale_update_no_resharing | None -> ignore (L2.invalidate t.l2 line));
-  (* upgrades carry no data: even the home answers without a memory read *)
-  send t ~dst:requester
-    (Snoop_resp
-       { line; tid; shared = false; owner = false; flushed_home = false; mem_value = None })
 
 let on_bus_flush t ~line ~value ~tid ~requester ~dirty =
   if dirty && home_of line = t.id then mem_write t line value;
@@ -355,9 +315,9 @@ let on_bus_wb_ack t =
 
 let handle_message t ~src (msg : Message.t) =
   match msg with
-  | Bus_rd { line; tid } -> on_bus_rd t ~requester:src ~tid line
-  | Bus_rdx { line; tid } -> on_bus_rdx t ~requester:src ~tid line
-  | Bus_upgr { line; tid } -> on_bus_upgr t ~requester:src ~tid line
+  | Bus_rd { line; tid } -> on_bus_cmd t Rd ~requester:src ~tid line
+  | Bus_rdx { line; tid } -> on_bus_cmd t Rdx ~requester:src ~tid line
+  | Bus_upgr { line; tid } -> on_bus_cmd t Upgr ~requester:src ~tid line
   | Bus_flush { line; value; tid; requester; dirty } ->
       on_bus_flush t ~line ~value ~tid ~requester ~dirty
   | Snoop_resp { line; tid; shared; owner; flushed_home; mem_value } ->
@@ -406,29 +366,29 @@ let submit t ~kind ~line ~on_commit =
   (match kind with
   | Types.Load -> t.stats.loads <- t.stats.loads + 1
   | Types.Store -> t.stats.stores <- t.stats.stores + 1);
-  match (L2.lookup t.l2 line, kind) with
-  | Some entry, Types.Load ->
+  let entry = L2.lookup t.l2 line in
+  match Rules.access kind (copy_of entry) with
+  | Miss -> start_miss t ~kind ~line ~on_commit
+  | Hit | Silent_upgrade -> (
       t.stats.l2_hits <- t.stats.l2_hits + 1;
-      Sim.schedule t.sim ~delay:t.config.l2_hit_latency (fun () ->
-          Probe.commit t.probe ~node:t.id ~kind:Types.Load ~line ~value:entry.value
-            ~started ~l2_hit:true ~miss:None;
-          on_commit ())
-  | Some L2.{ state = Exclusive; _ }, Types.Store ->
-      t.stats.l2_hits <- t.stats.l2_hits + 1;
-      Sim.schedule t.sim ~delay:t.config.l2_hit_latency (fun () ->
-          match L2.peek t.l2 line with
-          | Some L2.{ state = Exclusive; _ } ->
-              (* M hit, or MESI's silent E->M upgrade *)
-              let version = t.next_version () in
-              L2.set t.l2 line L2.{ state = Exclusive; value = version; dirty = true };
-              Probe.commit t.probe ~node:t.id ~kind:Types.Store ~line ~value:version
-                ~started ~l2_hit:true ~miss:None;
-              on_commit ()
-          | Some L2.{ state = Shared; _ } | None ->
-              (* lost exclusivity in the hit window: take the miss path *)
-              start_miss t ~kind ~line ~on_commit)
-  | Some L2.{ state = Shared; _ }, Types.Store | None, (Types.Load | Types.Store) ->
-      start_miss t ~kind ~line ~on_commit
+      match kind with
+      | Types.Load ->
+          let value = match entry with Some e -> e.value | None -> assert false in
+          Sim.schedule t.sim ~delay:t.config.l2_hit_latency (fun () ->
+              Probe.commit t.probe ~node:t.id ~kind:Types.Load ~line ~value ~started
+                ~l2_hit:true ~miss:None;
+              on_commit ())
+      | Types.Store ->
+          Sim.schedule t.sim ~delay:t.config.l2_hit_latency (fun () ->
+              match Rules.access Types.Store (copy_of (L2.peek t.l2 line)) with
+              | Hit | Silent_upgrade ->
+                  let value = write_version t line in
+                  Probe.commit t.probe ~node:t.id ~kind:Types.Store ~line ~value ~started
+                    ~l2_hit:true ~miss:None;
+                  on_commit ()
+              | Miss ->
+                  (* lost exclusivity in the hit window: take the miss path *)
+                  start_miss t ~kind ~line ~on_commit))
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -491,114 +451,80 @@ let create_machine ~probe ~(config : Config.t) ~sim ~network ~stats ~next_versio
 (* Inspection and invariants                                           *)
 (* ------------------------------------------------------------------ *)
 
-let l2_state t line = L2.peek t.l2 line
+let describe_line line =
+  Printf.sprintf "line %d@%d" (Types.Layout.index_of_line line)
+    (Types.Layout.home_of_line line)
 
-let iter_l2 t f = L2.iter f t.l2
-
-let pending_op t = match t.pending with Some p -> Some (p.kind, p.line) | None -> None
-
-let pending_info t =
-  match t.pending with Some p -> Some (p.kind, p.line, p.started, 0) | None -> None
-
-(* Machine-wide structural invariants over a quiesced system: the
-   single-writer property, memory currency of every Shared copy, and the
-   per-protocol state-encoding rules (M/E dirty bits; MSI never holds
-   exclusive-clean). *)
+(* Machine-wide invariants over a quiesced system: the bus is free and
+   no transaction is pending, every line satisfies the rules' per-line
+   invariants, and no Shared copy is dirty (the one L2 encoding that
+   names none of the four states). *)
 let check_invariants nodes =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  if Array.length nodes > 0 then begin
-    let bus = nodes.(0).bus in
-    (match bus.granted_to with
-    | Some n -> err "bus still granted to node %d after drain" n
-    | None -> ());
-    Array.iteri
-      (fun n w -> if w then err "node %d still waiting for the bus after drain" n)
-      bus.waiting
-  end;
-  Array.iter
-    (fun node ->
-      if node.pending <> None then
-        err "node %d has a pending transaction after drain" node.id)
-    nodes;
-  (* gather per-line copies across the machine *)
+  let n = Array.length nodes in
+  if n > 0 then Option.iter (err "bus still granted to node %d after drain") nodes.(0).bus.granted_to;
+  (* each resident line's copies and values across the machine *)
   let lines = Hashtbl.create 64 in
   Array.iter
     (fun node ->
-      iter_l2 node (fun line entry ->
-          let copies =
-            match Hashtbl.find_opt lines line with Some c -> c | None -> []
+      if node.bus.waiting.(node.id) then
+        err "node %d still waiting for the bus after drain" node.id;
+      if node.pending <> None then err "node %d has a pending transaction after drain" node.id;
+      L2.iter
+        (fun line (entry : L2.entry) ->
+          if entry.state = Shared && entry.dirty then
+            err "%s: node %d holds a dirty Shared copy" (describe_line line) node.id;
+          let copies, values =
+            match Hashtbl.find_opt lines line with
+            | Some cv -> cv
+            | None ->
+                let cv = (Array.make n Rules.I, Array.make n 0) in
+                Hashtbl.add lines line cv;
+                cv
           in
-          Hashtbl.replace lines line ((node.id, entry) :: copies)))
+          copies.(node.id) <- copy_of_entry entry;
+          values.(node.id) <- entry.value)
+        node.l2)
     nodes;
-  let sorted_lines =
-    Hashtbl.fold (fun line copies acc -> (line, copies) :: acc) lines []
-    |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-  in
-  List.iter
-    (fun (line, copies) ->
-      let msi = nodes.(0).config.protocol = Types.Msi in
-      let excl =
-        List.filter (fun (_, e) -> e.L2.state = L2.Exclusive) copies
-      in
-      (match excl with
-      | _ :: _ :: _ ->
-          err "line %d@%d: multiple exclusive holders (%s)"
-            (Types.Layout.index_of_line line)
-            (Types.Layout.home_of_line line)
-            (String.concat ","
-               (List.map (fun (n, _) -> string_of_int n) excl))
-      | [ (owner, _) ] when List.length copies > 1 ->
-          err "line %d@%d: node %d exclusive alongside other copies"
-            (Types.Layout.index_of_line line)
-            (Types.Layout.home_of_line line)
-            owner
-      | _ -> ());
-      let mem = mem_read nodes.(home_of line) line in
-      List.iter
-        (fun (n, e) ->
-          (match e.L2.state with
-          | L2.Shared ->
-              if e.L2.dirty then
-                err "line %d@%d: node %d holds a dirty Shared copy"
-                  (Types.Layout.index_of_line line)
-                  (Types.Layout.home_of_line line)
-                  n;
-              if e.L2.value <> mem then
-                err "line %d@%d: node %d shared copy %d != home memory %d"
-                  (Types.Layout.index_of_line line)
-                  (Types.Layout.home_of_line line)
-                  n e.L2.value mem
-          | L2.Exclusive ->
-              if msi && not e.L2.dirty then
-                err "line %d@%d: node %d holds exclusive-clean under MSI"
-                  (Types.Layout.index_of_line line)
-                  (Types.Layout.home_of_line line)
-                  n);
-          ())
-        copies)
-    sorted_lines;
+  let invariants = if n > 0 then Rules.invariants nodes.(0).config.protocol else [] in
+  Hashtbl.fold (fun line cv acc -> (line, cv) :: acc) lines []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.iter (fun (line, (copies, values)) ->
+         let mem = mem_read nodes.(home_of line) line in
+         List.iter
+           (fun (name, holds) ->
+             if not (holds copies values mem) then
+               err "%s: %s violated (mem=%d%s)" (describe_line line) name mem
+                 (String.concat ""
+                    (List.filteri (fun i _ -> copies.(i) <> Rules.I)
+                       (List.init n (fun i ->
+                            Printf.sprintf " n%d:%s%d" i (Rules.to_string copies.(i))
+                              values.(i))))))
+           invariants);
   List.rev !errors
 
 module Backend = struct
   type node = t
 
-  let id = id
+  let id t = t.id
 
   let submit = submit
 
-  let busy = busy
+  let busy t = t.pending <> None
 
-  let l2_state = l2_state
+  let l2_state t line = L2.peek t.l2 line
 
-  let iter_l2 = iter_l2
+  let iter_l2 t f = L2.iter f t.l2
 
-  let pending_op = pending_op
+  let pending_op t = match t.pending with Some p -> Some (p.kind, p.line) | None -> None
 
-  let pending_info = pending_info
+  let pending_info t =
+    match t.pending with Some p -> Some (p.kind, p.line, p.started, 0) | None -> None
 
   let check_invariants = check_invariants
 
+  (* a bus has no remote access cache, delegation or delegate cache *)
   let delegated_line_count _ = 0
 
   let rac_occupancy _ = 0

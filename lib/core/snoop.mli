@@ -21,9 +21,11 @@
     closes every stale-memory race, which is what makes the invariant
     "every Shared copy equals home memory" checkable after a run.
 
-    State encoding on the shared {!L2}: M = [Exclusive] dirty,
-    E = [Exclusive] clean (MESI only; MSI loads always fill [Shared]),
-    S = [Shared], I = absent.
+    Every per-line decision (hit or miss, the command chosen at grant
+    time, each snooper's next state and data, the fill, evictions, the
+    per-line invariants) comes from {!Snoop_rules}, which the model
+    checker reads too; this module owns arbitration, messages, timing
+    and the pending-transaction bookkeeping.
 
     Fail-stop crashes are not supported ([Invalid_argument] at creation
     on a crash-capable config); chaos profiles without crashes work —

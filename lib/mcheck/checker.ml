@@ -378,10 +378,14 @@ let run (type s) (module M : MODEL with type state = s) ?(max_states = 2_000_000
   level (Array.of_list initial)
 
 let pp_outcome pp_state ppf = function
-  | Ok stats ->
-      Format.fprintf ppf "OK: %d states, %d transitions, depth %d%s"
+  | Ok stats when stats.complete ->
+      Format.fprintf ppf "OK: %d states, %d transitions, depth %d (exhaustive)"
         stats.states_explored stats.transitions stats.max_depth
-        (if stats.complete then " (exhaustive)" else " (bounded)")
+  | Ok stats ->
+      (* no violation within the bound is not a verdict *)
+      Format.fprintf ppf
+        "INCOMPLETE: %d states, %d transitions, depth %d (--max-states bound reached)"
+        stats.states_explored stats.transitions stats.max_depth
   | Invariant_violation { invariant; state; trace; stats } ->
       Format.fprintf ppf
         "@[<v>INVARIANT '%s' VIOLATED after %d states@,trace (%d steps):@,  %a@,state: %a@]"

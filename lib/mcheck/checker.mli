@@ -101,3 +101,5 @@ val run :
 
 val pp_outcome :
   (Format.formatter -> 's -> unit) -> Format.formatter -> 's outcome -> unit
+(** [OK: …] only for an exhaustive run; a run that stopped at
+    [max_states] prints [INCOMPLETE: … (--max-states bound reached)]. *)

@@ -1,24 +1,22 @@
 open Pcc_core
-
-type bug = Upgr_skips_invals
+module Rules = Snoop_rules
 
 type params = {
   nodes : int;
   lines : int;
   variant : Types.protocol;
   max_ops_per_node : int;
-  bug : bug option;
+  bug : Config.fault option;
 }
 
 let default_params =
   { nodes = 3; lines = 1; variant = Types.Msi; max_ops_per_node = 2; bug = None }
 
-(* One cache's view of one line.  Values are store versions from a
+(* One line across the machine.  Values are store versions from a
    per-line counter, so "the newest value" is a comparison. *)
-type copy = I | S of int | E of int | M of int
-
 type line = {
-  copies : copy array;  (** per node *)
+  copies : Rules.copy array;  (** per node *)
+  values : int array;  (** per node: the version a copy other than I holds *)
   mem : int;  (** home memory's version of the line *)
   vers : int;  (** newest version handed out; 0 = initial value *)
   remaining : int array;  (** operations each node may still issue *)
@@ -61,6 +59,9 @@ let rec add_int b v =
     Buffer.add_char b (Char.unsafe_chr (48 + (v mod 10)))
   end
 
+(* a per-line invariant of the rules, over every line of a state *)
+let every_line holds = Array.for_all (fun line -> holds line.copies line.values line.mem)
+
 let make ?(por = true) params =
   if params.nodes < 2 || params.nodes > 5 then
     invalid_arg "Snoop_model.make: nodes must be in 2..5";
@@ -68,14 +69,13 @@ let make ?(por = true) params =
   if params.variant = Types.Adaptive then
     invalid_arg "Snoop_model.make: variant must be Msi or Mesi";
   let n = params.nodes in
-  let mesi = params.variant = Types.Mesi in
-  let skip_invals = params.bug = Some Upgr_skips_invals in
   let module Model = struct
     type nonrec state = state
 
     let initial_line =
       {
-        copies = Array.make n I;
+        copies = Array.make n Rules.I;
+        values = Array.make n 0;
         mem = 0;
         vers = 0;
         remaining = Array.make n params.max_ops_per_node;
@@ -84,56 +84,48 @@ let make ?(por = true) params =
 
     let initial = [ Array.make params.lines initial_line ]
 
-    let set_copy line node copy =
-      let copies = Array.copy line.copies in
-      copies.(node) <- copy;
-      { line with copies }
-
-    let observe line node v =
+    (* the next line, in which [node] has observed [v] and spent one
+       operation *)
+    let observe line node v ~copies ~values ~mem ~vers =
       let seen = Array.copy line.seen in
       seen.(node) <- max seen.(node) v;
       let remaining = Array.copy line.remaining in
       remaining.(node) <- remaining.(node) - 1;
-      { line with seen; remaining }
+      { copies; values; mem; vers; remaining; seen }
 
-    (* The bus-wide effect of a read miss: the M/E owner (if any)
-       downgrades to S and flushes dirty data home. *)
-    let snoop_read line =
-      let mem = ref line.mem in
-      let copies =
-        Array.map
-          (function
-            | M v ->
-                mem := v;
-                S v
-            | E v -> S v
-            | c -> c)
-          line.copies
-      in
-      { line with copies; mem = !mem }
+    (* [node] completes an access holding [copy] with [value] *)
+    let complete line node ~copies ~mem ~vers copy value =
+      copies.(node) <- copy;
+      let values = Array.copy line.values in
+      values.(node) <- value;
+      observe line node value ~copies ~values ~mem ~vers
 
-    (* The bus-wide effect of a write miss: every copy dies; dirty data
-       reaches home first (the value is about to be overwritten, but the
-       flush is what keeps "latest value materialized" an invariant at
-       every intermediate state). *)
-    let snoop_write line =
-      let mem = ref line.mem in
-      let copies =
-        Array.map
-          (function
-            | M v ->
-                mem := v;
-                I
-            | E _ | S _ -> I
-            | I -> I)
-          line.copies
-      in
-      { line with copies; mem = !mem }
+    (* [node]'s miss as one atomic bus transaction: every other cache
+       reacts to [cmd] by the rules, then the requester fills.  A supplied
+       copy's data also lands in home memory: on [Rd] the write-back the
+       rules require, on [Rdx] a word the requester overwrites at once. *)
+    let bus line node (kind : Types.op_kind) cmd =
+      let copies = Array.copy line.copies in
+      let mem = ref line.mem and others = ref false in
+      for i = 0 to n - 1 do
+        if i <> node then begin
+          let c = copies.(i) in
+          if c <> Rules.I then others := true;
+          (match Rules.supply cmd c with
+          | Keep -> ()
+          | Flush | Flush_home -> mem := line.values.(i));
+          copies.(i) <- Rules.snoop params.bug cmd c
+        end
+      done;
+      let fill = Rules.fill params.variant kind ~others:!others in
+      match kind with
+      | Load -> complete line node ~copies ~mem:!mem ~vers:line.vers fill !mem
+      | Store -> complete line node ~copies ~mem:!mem ~vers:(line.vers + 1) fill (line.vers + 1)
 
-    let alone line node =
-      let free = ref true in
-      Array.iteri (fun i c -> if i <> node && c <> I then free := false) line.copies;
-      !free
+    (* a store hit: M, or MESI's silent E->M *)
+    let store_hit line node =
+      complete line node ~copies:(Array.copy line.copies) ~mem:line.mem
+        ~vers:(line.vers + 1) (Rules.fill params.variant Store ~others:false) (line.vers + 1)
 
     let labels =
       Array.init params.lines (fun l ->
@@ -146,45 +138,33 @@ let make ?(por = true) params =
       let add label line' = out := (label, line') :: !out in
       for node = 0 to n - 1 do
         let names = labels.(l).(node) in
+        let copy = line.copies.(node) in
         (if line.remaining.(node) > 0 then begin
-           (* load *)
-           (match line.copies.(node) with
-           | S v | E v | M v -> add names.load_hit (observe line node v)
-           | I ->
-               let line' = snoop_read line in
-               let v = line'.mem in
-               let fills = if mesi && alone line' node then E v else S v in
-               add names.load_miss (observe (set_copy line' node fills) node v));
-           (* store *)
-           let commit line' =
-             let v = line'.vers + 1 in
-             observe (set_copy { line' with vers = v } node (M v)) node v
-           in
-           match line.copies.(node) with
-           | M _ -> add names.store_hit (commit line)
-           | E _ -> add names.store_silent_upgrade (commit line)
-           | S _ ->
-               let line' =
-                 if skip_invals then line
-                 else
-                   {
-                     line with
-                     copies =
-                       Array.mapi
-                         (fun i c -> if i = node then c else match c with S _ -> I | c -> c)
-                         line.copies;
-                   }
-               in
-               add names.store_upgrade (commit line')
-           | I -> add names.store_miss (commit (snoop_write line))
+           (match Rules.access Load copy with
+           | Hit ->
+               add names.load_hit
+                 (observe line node line.values.(node) ~copies:line.copies
+                    ~values:line.values ~mem:line.mem ~vers:line.vers)
+           | Miss | Silent_upgrade (* loads never upgrade *) ->
+               add names.load_miss (bus line node Load (Rules.command Load copy)));
+           match Rules.access Store copy with
+           | Hit -> add names.store_hit (store_hit line node)
+           | Silent_upgrade -> add names.store_silent_upgrade (store_hit line node)
+           | Miss ->
+               let cmd = Rules.command Store copy in
+               add
+                 (match cmd with Upgr -> names.store_upgrade | Rd | Rdx -> names.store_miss)
+                 (bus line node Store cmd)
          end);
         (* spontaneous evictions keep capacity pressure in the model *)
-        match line.copies.(node) with
-        | I -> ()
-        | S _ | E _ -> add names.evict (set_copy line node I)
-        | M v ->
-            add names.evict_writeback
-              (set_copy { line with mem = v } node I)
+        if copy <> Rules.I then begin
+          let copies = Array.copy line.copies in
+          copies.(node) <- Rules.I;
+          match Rules.evict copy with
+          | Drop -> add names.evict { line with copies }
+          | Writeback ->
+              add names.evict_writeback { line with copies; mem = line.values.(node) }
+        end
       done;
       List.rev !out
 
@@ -201,37 +181,22 @@ let make ?(por = true) params =
 
     let por = if por && params.lines > 1 then Some groups else None
 
-    let line_invariants =
-      [
-        ( "single-writer",
-          fun line ->
-            let owners = ref 0 and others = ref 0 in
-            Array.iter
-              (function
-                | M _ | E _ -> incr owners
-                | S _ -> incr others
-                | I -> ())
-              line.copies;
-            !owners <= 1 && (!owners = 0 || !others = 0) );
-        ( "latest-materialized",
-          fun line ->
-            let owner = ref None in
-            Array.iter
-              (function M v | E v -> owner := Some v | S _ | I -> ())
-              line.copies;
-            match !owner with Some v -> v = line.vers | None -> line.mem = line.vers );
-        ( "shared-matches-memory",
-          fun line ->
-            Array.for_all (function S v -> v = line.mem | _ -> true) line.copies );
-        ( "msi-has-no-exclusive-clean",
-          fun line -> mesi || Array.for_all (function E _ -> false | _ -> true) line.copies
-        );
-        ( "observations-monotone",
-          fun line -> Array.for_all (fun s -> s <= line.vers) line.seen );
-      ]
+    (* the model's own invariants, over its version counters: the newest
+       version lives in the E/M copy when one exists, in home memory
+       otherwise, and nobody has seen a version not yet handed out *)
+    let latest_materialized line =
+      let latest = ref line.mem in
+      Array.iteri (fun i -> function Rules.E | M -> latest := line.values.(i) | I | S -> ()) line.copies;
+      !latest = line.vers
+
+    let observations_monotone line = Array.for_all (fun s -> s <= line.vers) line.seen
 
     let invariants =
-      List.map (fun (name, check) -> (name, Array.for_all check)) line_invariants
+      List.map (fun (name, holds) -> (name, every_line holds)) (Rules.invariants params.variant)
+      @ [
+          ("latest-materialized", Array.for_all latest_materialized);
+          ("observations-monotone", Array.for_all observations_monotone);
+        ]
 
     let is_quiescent state =
       Array.for_all (fun line -> Array.for_all (fun r -> r = 0) line.remaining) state
@@ -247,17 +212,9 @@ let make ?(por = true) params =
       for l = 0 to Array.length state - 1 do
         let line = state.(l) in
         for i = 0 to n - 1 do
-          (match line.copies.(i) with
-          | I -> Buffer.add_char b 'i'
-          | S v ->
-              Buffer.add_char b 's';
-              add_int b v
-          | E v ->
-              Buffer.add_char b 'e';
-              add_int b v
-          | M v ->
-              Buffer.add_char b 'm';
-              add_int b v);
+          let c = line.copies.(i) in
+          Buffer.add_char b (Char.lowercase_ascii (Rules.to_string c).[0]);
+          if c <> Rules.I then add_int b line.values.(i);
           Buffer.add_char b ';'
         done;
         Buffer.add_char b '|';
@@ -280,10 +237,8 @@ let make ?(por = true) params =
             (fun i c ->
               if i > 0 then Format.pp_print_string ppf " ";
               match c with
-              | I -> Format.fprintf ppf "n%d:I" i
-              | S v -> Format.fprintf ppf "n%d:S%d" i v
-              | E v -> Format.fprintf ppf "n%d:E%d" i v
-              | M v -> Format.fprintf ppf "n%d:M%d" i v)
+              | Rules.I -> Format.fprintf ppf "n%d:I" i
+              | S | E | M -> Format.fprintf ppf "n%d:%s%d" i (Rules.to_string c) line.values.(i))
             line.copies;
           Format.fprintf ppf "] remaining=[";
           Array.iteri

@@ -8,33 +8,23 @@
     Nondeterminism comes from each node's choice of operation, target
     line, and spontaneous evictions.
 
-    Under that atomicity the protocol's contracts become plain state
-    invariants, checked in every reachable state (prefixed ["L<l>:"]
-    when [lines > 1]):
-    - {e single writer}: at most one M/E copy of a line, and an M/E copy
-      excludes every other copy;
-    - {e latest value materialized}: the newest store version lives in
-      the M/E copy when one exists, in home memory otherwise;
-    - {e shared matches memory}: every S copy equals home memory;
-    - {e MSI has no E}: the MSI variant never holds an exclusive-clean
-      copy.
-
-    [bug] injects the same deliberate protocol error the simulator's
-    fault hook ({!Pcc_core.Config.Snoop_upgr_skips_invals}) injects, so
-    tests can prove the checker and the litmus harness detect a broken
-    bus protocol. *)
-
-type bug =
-  | Upgr_skips_invals
-      (** BUS_UPGR does not invalidate the other shared copies, so an
-          S->M upgrade leaves stale sharers alive *)
+    Every state change comes from {!Pcc_core.Snoop_rules}, the MSI/MESI
+    policy the simulator backend reads too; on the atomic bus a
+    snooper's supplied data also lands in home memory.  Checked in every
+    reachable state (prefixed ["L<l>:"] when [lines > 1]): the rules'
+    per-line invariants, plus the model's own two over its version
+    counters — {e latest-materialized} (the newest store lives in the
+    M/E copy when one exists, in home memory otherwise) and {e
+    observations-monotone}.  [bug] takes the simulator's fault hook,
+    {!Pcc_core.Config.Snoop_upgr_skips_invals}, so tests can prove the
+    checker and the litmus harness detect a broken bus protocol. *)
 
 type params = {
   nodes : int;  (** 2..5 is practical *)
   lines : int;  (** independent lines; the state space is the product *)
   variant : Pcc_core.Types.protocol;  (** [Msi] or [Mesi] *)
   max_ops_per_node : int;  (** per line *)
-  bug : bug option;
+  bug : Pcc_core.Config.fault option;
 }
 
 val default_params : params

@@ -63,6 +63,15 @@ let test_checker_bound () =
   | Checker.Ok stats -> Alcotest.(check bool) "not exhaustive" false stats.Checker.complete
   | _ -> Alcotest.fail "expected bounded Ok"
 
+(* a bounded run is reported as incomplete, never as OK *)
+let test_checker_bound_text () =
+  Alcotest.(check string)
+    "bounded outcome"
+    "INCOMPLETE: 3 states, 3 transitions, depth 2 (--max-states bound reached)"
+    (Format.asprintf "%a"
+       (Checker.pp_outcome Counter_model.pp)
+       (Checker.run (module Counter_model) ~max_states:3 ()))
+
 (* state-type-free summary so the locally unpacked model type does not
    escape *)
 type summary =
@@ -196,7 +205,7 @@ let test_snoop_bug_detected () =
     (run_snoop_model
        {
          Pcc_mcheck.Snoop_model.default_params with
-         bug = Some Pcc_mcheck.Snoop_model.Upgr_skips_invals;
+         bug = Some Pcc_core.Config.Snoop_upgr_skips_invals;
        })
 
 (* ---------------- canonical hashing properties (qcheck) ---------------- *)
@@ -485,6 +494,8 @@ let suite =
     Alcotest.test_case "engine: violation + trace" `Quick test_checker_finds_violation;
     Alcotest.test_case "engine: deadlock" `Quick test_checker_finds_deadlock;
     Alcotest.test_case "engine: state bound" `Quick test_checker_bound;
+    Alcotest.test_case "engine: bounded run prints INCOMPLETE" `Quick
+      test_checker_bound_text;
     Alcotest.test_case "base protocol 2n exhaustive" `Quick test_base_protocol_verified;
     Alcotest.test_case "base protocol 3n exhaustive" `Slow test_base_protocol_3n;
     Alcotest.test_case "full protocol 2n exhaustive" `Quick test_full_protocol_2n;
