@@ -14,10 +14,10 @@ type fault =
           checker's [Updates_without_resharing] bug, used to prove the
           runtime oracle detects real protocol errors *)
   | Snoop_upgr_skips_invals
-      (** snoopers ignore BUS_UPGR commands, so an S->M upgrade leaves
-          stale shared copies alive — the snooping backend's twin of the
-          model checker's [Upgr_skips_invals] bug, used to prove the
-          litmus harness detects a broken bus protocol *)
+      (** an S copy survives a BUS_UPGR, so an S->M upgrade leaves stale
+          shared copies alive — one edited rule in {!Snoop_rules}, which
+          the simulator and the model checker's snooping model both
+          read, used to prove both detect a broken bus protocol *)
 
 type t = {
   nodes : int;

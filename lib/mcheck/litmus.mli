@@ -87,7 +87,7 @@ val mutation_config : nodes:int -> seed:int -> Config.t
 
 val snoop_mutation_config : nodes:int -> seed:int -> Config.t
 (** The MSI machine with [inject_fault = Snoop_upgr_skips_invals]
-    (snoopers ignore BUS_UPGR): the harness must catch the stale shared
+    (S copies survive BUS_UPGR): the harness must catch the stale shared
     copies this leaves behind — the snooping twin of
     {!mutation_config}. *)
 

@@ -103,7 +103,9 @@ let make ?(por = true) params =
     (* [node]'s miss as one atomic bus transaction: every other cache
        reacts to [cmd] by the rules, then the requester fills.  A supplied
        copy's data also lands in home memory: on [Rd] the write-back the
-       rules require, on [Rdx] a word the requester overwrites at once. *)
+       rules require; on [Rdx] a word the requester overwrites at once,
+       written anyway so states differing only in a stale memory word
+       collapse (MSI at 4 nodes: 56,481 states, 92,901 without it). *)
     let bus line node (kind : Types.op_kind) cmd =
       let copies = Array.copy line.copies in
       let mem = ref line.mem and others = ref false in
