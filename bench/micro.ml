@@ -253,8 +253,8 @@ let check_history ~last fresh =
   if fresh.h_events_per_sec < last.h_events_per_sec *. 0.5 then
     fail "throughput regressed: %.0f events/sec vs %.0f recorded (floor 0.5x)"
       fresh.h_events_per_sec last.h_events_per_sec;
-  if fresh.h_minor_words_per_event > (last.h_minor_words_per_event *. 1.10) +. 0.5 then
-    fail "allocation regressed: %.2f minor words/event vs %.2f recorded (band 1.10x)"
+  if fresh.h_minor_words_per_event > last.h_minor_words_per_event *. 1.02 then
+    fail "allocation regressed: %.2f minor words/event vs %.2f recorded (band 1.02x)"
       fresh.h_minor_words_per_event last.h_minor_words_per_event;
   if fresh.h_delegation_rate < last.h_delegation_rate *. 0.5 then
     fail "delegation rate collapsed: %.4f vs %.4f recorded (floor 0.5x)"

@@ -72,8 +72,10 @@ let report_outcome pp outcome metrics_path =
   | Checker.Ok { complete = false; _ } -> 1
   | Checker.Invariant_violation _ | Checker.Deadlock _ -> 2
 
-let run_model_check protocol nodes lines ops workload delegation updates bug max_states
-    jobs spill por metrics_path =
+(* Model-checking options first, so the command line can apply them and
+   see which were given before the mode is known. *)
+let run_model_check nodes lines ops workload delegation updates bug max_states spill por
+    protocol jobs metrics_path =
   let fail message =
     prerr_endline message;
     2
@@ -157,12 +159,15 @@ let run_litmus jobs mutate protocol metrics_path =
     if failed = [] then 0 else 2
   end
 
-let run litmus mutate protocol nodes lines ops workload delegation updates bug
-    max_states jobs spill por metrics_path =
-  if litmus || mutate then run_litmus jobs mutate protocol metrics_path
-  else
-    run_model_check protocol nodes lines ops workload delegation updates bug max_states
-      jobs spill por metrics_path
+let run litmus mutate protocol (model_check, given) jobs metrics_path =
+  if not (litmus || mutate) then model_check protocol jobs metrics_path
+  else if given = [] then run_litmus jobs mutate protocol metrics_path
+  else begin
+    Printf.eprintf "pcc_check: %s reads no model-checking option (given: %s)\n"
+      (if mutate then "--litmus-mutated" else "--litmus")
+      (String.concat " " given);
+    2
+  end
 
 (* the adaptive model canonicalizes over (nodes-1)! permutations, so it
    stops at 7 nodes *)
@@ -248,7 +253,8 @@ let litmus_arg =
     & info [ "litmus" ]
         ~doc:
           "Run the litmus corpus through the real simulator (configs × chaos profiles × \
-           seeds) instead of model checking.")
+           seeds) instead of model checking.  The model-checking options are then \
+           rejected.")
 
 let mutate_arg =
   Arg.(
@@ -258,6 +264,13 @@ let mutate_arg =
         ~doc:
           "Run the litmus corpus against a deliberately broken machine and require a \
            failure (harness detection sanity check).")
+
+(* the model-checking options applied, and the arguments that set them *)
+let model_check =
+  Term.(
+    with_used_args
+      (const run_model_check $ nodes_arg $ lines_arg $ ops_arg $ workload_arg
+     $ delegation_arg $ updates_arg $ bug_arg $ max_states_arg $ spill_arg $ por_arg))
 
 let cmd =
   let term =
@@ -269,9 +282,7 @@ let cmd =
              model (or the full litmus matrix, every backend included); $(b,msi) / \
              $(b,mesi) check the atomic-bus snooping model or restrict the litmus matrix \
              to that backend." ()
-      $ nodes_arg $ lines_arg $ ops_arg
-      $ workload_arg $ delegation_arg $ updates_arg $ bug_arg $ max_states_arg
-      $ jobs_arg $ spill_arg $ por_arg $ Cli_common.metrics ())
+      $ model_check $ jobs_arg $ Cli_common.metrics ())
   in
   Cmd.v
     (Cmd.info "pcc_check" ~doc:"Verify the coherence protocol backends") term

@@ -674,11 +674,12 @@ let stamp_requester t (entry : Directory.entry) =
   if t.crashable then
     entry.requester_epoch <- Hub_link.peer_epoch t.hub ~peer:entry.requester
 
-let rec home_get_shared t ~src ~tid line =
+let home_request t ~src ~(kind : Types.op_kind) ~tid line =
   let access = dir_access t line in
   let entry = Directory.entry t.dir line in
-  match entry.state with
-  | Directory.Unowned | Directory.Shared_s ->
+  match Directory_rules.request kind entry.state ~owner:(entry.owner = src) with
+  | Nack reason -> send_after t ~delay:access.latency ~dst:src (Nack { line; reason; tid })
+  | Grant_shared ->
       let unique = not (Nodeset.mem entry.sharers src) in
       Predictor.record_read t.params access.predictor ~reader:src ~unique;
       set_dstate t line entry Directory.Shared_s;
@@ -687,42 +688,7 @@ let rec home_get_shared t ~src ~tid line =
         ~delay:(access.latency + dram_delay t)
         ~dst:src
         (Data_shared { line; value = entry.mem_value; source_is_home = true; tid })
-  | Directory.Excl ->
-      if entry.owner = src then
-        (* the owner's writeback is in flight; retry until it lands *)
-        send_after t ~delay:access.latency ~dst:src
-          (Nack { line; reason = Message.Pending; tid })
-      else begin
-        Predictor.record_read t.params access.predictor ~reader:src ~unique:true;
-        set_dstate t line entry Directory.Busy_shared;
-        entry.requester <- src;
-        entry.requester_op <- Types.Load;
-        entry.requester_tid <- tid;
-        stamp_requester t entry;
-        t.stats.interventions_sent <- t.stats.interventions_sent + 1;
-        send_after t ~delay:access.latency ~dst:entry.owner
-          (Intervention { line; requester = src; tid })
-      end
-  | Directory.Busy_shared | Directory.Busy_excl ->
-      send_after t ~delay:access.latency ~dst:src
-        (Nack { line; reason = Message.Busy; tid })
-  | Directory.Dele ->
-      if entry.owner = src then
-        send_after t ~delay:access.latency ~dst:src
-          (Nack { line; reason = Message.Busy; tid })
-      else begin
-        (* Fig. 4b: forward to the delegated home and teach the requester *)
-        send_after t ~delay:access.latency ~dst:entry.owner
-          (Fwd_get_shared { line; requester = src; tid });
-        send_after t ~delay:access.latency ~dst:src
-          (New_home { line; home = entry.owner })
-      end
-
-and home_get_exclusive t ~src ~tid line =
-  let access = dir_access t line in
-  let entry = Directory.entry t.dir line in
-  match entry.state with
-  | Directory.Unowned ->
+  | Grant_exclusive ->
       Predictor.record_write t.params access.predictor ~writer:src;
       set_dstate t line entry Directory.Excl;
       entry.owner <- src;
@@ -738,7 +704,7 @@ and home_get_exclusive t ~src ~tid line =
              sharers = Nodeset.empty;
              tid;
            })
-  | Directory.Shared_s ->
+  | Invalidate_sharers ->
       Predictor.record_write t.params access.predictor ~writer:src;
       let is_pc = Predictor.is_producer_consumer t.params access.predictor in
       let consumers = Nodeset.remove entry.sharers src in
@@ -789,47 +755,36 @@ and home_get_exclusive t ~src ~tid line =
                tid;
              })
       end
-  | Directory.Excl ->
-      if entry.owner = src then
-        send_after t ~delay:access.latency ~dst:src
-          (Nack { line; reason = Message.Pending; tid })
-      else begin
-        Predictor.record_write t.params access.predictor ~writer:src;
-        set_dstate t line entry Directory.Busy_excl;
-        entry.requester <- src;
-        entry.requester_op <- Types.Store;
-        entry.requester_tid <- tid;
-        stamp_requester t entry;
-        send_after t ~delay:access.latency ~dst:entry.owner
-          (Transfer { line; requester = src; tid })
-      end
-  | Directory.Busy_shared | Directory.Busy_excl ->
-      send_after t ~delay:access.latency ~dst:src
-        (Nack { line; reason = Message.Busy; tid })
-  | Directory.Dele ->
-      if entry.owner = src then
-        send_after t ~delay:access.latency ~dst:src
-          (Nack { line; reason = Message.Busy; tid })
-      else begin
-        (* undelegation reason 3 (§2.3.3): another node wants exclusivity *)
-        Predictor.record_write t.params access.predictor ~writer:src;
-        set_dstate t line entry Directory.Busy_excl;
-        entry.requester <- src;
-        entry.requester_op <- Types.Store;
-        entry.requester_tid <- tid;
-        stamp_requester t entry;
-        send_after t ~delay:access.latency ~dst:entry.owner
-          (Recall { line; requester = src; kind = Types.Store })
-      end
+  | Forward ->
+      (* Fig. 4b: forward to the delegated home and teach the requester *)
+      send_after t ~delay:access.latency ~dst:entry.owner
+        (Fwd_get_shared { line; requester = src; tid });
+      send_after t ~delay:access.latency ~dst:src (New_home { line; home = entry.owner })
+  | (Intervene | Transfer | Recall) as answer ->
+      (match kind with
+      | Load -> Predictor.record_read t.params access.predictor ~reader:src ~unique:true
+      | Store -> Predictor.record_write t.params access.predictor ~writer:src);
+      set_dstate t line entry
+        (match kind with Load -> Directory.Busy_shared | Store -> Directory.Busy_excl);
+      entry.requester <- src;
+      entry.requester_op <- kind;
+      entry.requester_tid <- tid;
+      stamp_requester t entry;
+      let (msg : Message.t) =
+        match answer with
+        | Intervene ->
+            t.stats.interventions_sent <- t.stats.interventions_sent + 1;
+            Intervention { line; requester = src; tid }
+        | Transfer -> Transfer { line; requester = src; tid }
+        | _ -> Recall { line; requester = src; kind }
+      in
+      send_after t ~delay:access.latency ~dst:entry.owner msg
 
-and home_service_request t (node, kind, tid) line =
+let home_service_request t (node, kind, tid) line =
   (* a request stored on behalf of a node that has died is dropped: its
      transaction died with it *)
   if t.crashable && not (peer_alive t node) then ()
-  else
-    match (kind : Types.op_kind) with
-    | Types.Load -> home_get_shared t ~src:node ~tid line
-    | Types.Store -> home_get_exclusive t ~src:node ~tid line
+  else home_request t ~src:node ~kind ~tid line
 
 (* ------------------------------------------------------------------ *)
 (* Home-side replies and races                                         *)
@@ -1230,11 +1185,11 @@ let on_update_flush_ack t ~src line =
 let handle_message t ~src (msg : Message.t) =
   match msg with
   | Get_shared { line; tid } ->
-      if home_of line = t.id then home_get_shared t ~src ~tid line
+      if home_of line = t.id then home_request t ~src ~kind:Load ~tid line
       else prod_get_shared t line ~requester:src ~tid
   | Fwd_get_shared { line; requester; tid } -> prod_get_shared t line ~requester ~tid
   | Get_exclusive { line; tid } ->
-      if home_of line = t.id then home_get_exclusive t ~src ~tid line
+      if home_of line = t.id then home_request t ~src ~kind:Store ~tid line
       else prod_get_exclusive t line ~requester:src ~tid
   | Writeback { line; value } -> on_writeback t ~src line ~value
   | Writeback_ack { line } -> Hashtbl.remove t.wb_pending line

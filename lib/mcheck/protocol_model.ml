@@ -1,3 +1,5 @@
+open Pcc_core
+
 type bug = Skip_invals_on_delegate | No_poison_on_inval | Updates_without_resharing
 
 type workload = Symmetric | Producer_consumer
@@ -93,10 +95,6 @@ type nst = {
          resolves the race and acknowledges the writeback *)
 }
 
-type dstate = DU | DS | DE | DBs | DBe | DD
-
-type nack_reason = NBusy | NNotHome | NPending
-
 type msg =
   | MGetS of int  (* requester's transaction id, echoed by the reply *)
   | MGetX of int
@@ -109,7 +107,7 @@ type msg =
   | MAck
   | MSwb of int * int  (* value, new sharer *)
   | MTack of int  (* new owner *)
-  | MNack of nack_reason * int  (* tid *)
+  | MNack of Message.nack_reason * int  (* tid *)
   | MDelegate of int * int * int * int  (* sharers, value, acks expected, tid *)
   | MNewHome of int
   | MRecall
@@ -131,7 +129,7 @@ type packet = { src : int; dst : int; seq : int; msg : msg }
 
 type state = {
   ns : nst array;
-  dir : dstate;
+  dir : Directory.dstate;
   shr : int;
   own : int;
   req : int;
@@ -520,105 +518,99 @@ let try_complete_store st n =
 let home_handle params st ~s msg =
   let reply m = [ { src = home; dst = s; seq = 0; msg = m } ] in
   match (msg, st.dir) with
-  | MGetS tid, (DU | DS) ->
-      [ post { st with dir = DS; shr = add_bit st.shr s } (reply (MDataS (st.mem, tid))) ]
-  | MGetS tid, DE ->
-      if st.own = s then [ post st (reply (MNack (NPending, tid))) ]
-      else
-        [
-          post
-            { st with dir = DBs; req = s; req_tid = tid }
-            [ { src = home; dst = st.own; seq = 0; msg = MIntv (s, tid) } ];
-        ]
-  | MGetS tid, (DBs | DBe) -> [ post st (reply (MNack (NBusy, tid))) ]
-  | MGetS tid, DD ->
-      if st.own = s then [ post st (reply (MNack (NBusy, tid))) ]
-      else
-        [
-          post st
-            [
-              { src = home; dst = st.own; seq = 0; msg = MFwdS (s, tid) };
-              { src = home; dst = s; seq = 0; msg = MNewHome st.own };
-            ];
-        ]
-  | MGetX tid, DU ->
-      [ post { st with dir = DE; own = s; shr = 0 } (reply (MDataE (st.mem, 0, tid))) ]
-  | MGetX tid, DS ->
-      let others = bits_list (rem_bit st.shr s) in
-      let invals requester =
-        List.map (fun n -> { src = home; dst = n; seq = 0; msg = MInval requester }) others
-      in
-      let grant =
-        post
-          { st with dir = DE; own = s; shr = 0 }
-          (reply (MDataE (st.mem, List.length others, tid)) @ invals s)
-      in
-      let delegations =
-        if params.enable_delegation then begin
-          let sharers = rem_bit st.shr s in
-          let base = { st with dir = DD; own = s; shr = 0 } in
-          if params.bug = Some Skip_invals_on_delegate then
-            [ post base (reply (MDelegate (sharers, st.mem, 0, tid))) ]
-          else
-            [
-              post base
-                (reply (MDelegate (sharers, st.mem, List.length others, tid)) @ invals s);
-            ]
-        end
-        else []
-      in
-      grant :: delegations
-  | MGetX tid, DE ->
-      if st.own = s then [ post st (reply (MNack (NPending, tid))) ]
-      else
-        [
-          post
-            { st with dir = DBe; req = s; req_tid = tid }
-            [ { src = home; dst = st.own; seq = 0; msg = MTransfer (s, tid) } ];
-        ]
-  | MGetX tid, (DBs | DBe) -> [ post st (reply (MNack (NBusy, tid))) ]
-  | MGetX tid, DD ->
-      if st.own = s then [ post st (reply (MNack (NBusy, tid))) ]
-      else
-        [
-          post
-            { st with dir = DBe; req = s; req_tid = tid }
-            [ { src = home; dst = st.own; seq = 0; msg = MRecall } ];
-        ]
-  | MWb v, DE when st.own = s ->
-      [ post { st with mem = v; dir = DU; own = -1 } (reply MWbAck) ]
-  | MWb v, DBs when st.own = s ->
+  | (MGetS tid | MGetX tid), dir -> (
+      let kind : Types.op_kind = match msg with MGetS _ -> Load | _ -> Store in
+      match Directory_rules.request kind dir ~owner:(st.own = s) with
+      | Nack reason -> [ post st (reply (MNack (reason, tid))) ]
+      | Grant_shared ->
+          let st = { st with dir = Shared_s; shr = add_bit st.shr s } in
+          [ post st (reply (MDataS (st.mem, tid))) ]
+      | Grant_exclusive ->
+          [ post { st with dir = Excl; own = s; shr = 0 } (reply (MDataE (st.mem, 0, tid))) ]
+      | Invalidate_sharers ->
+          let others = bits_list (rem_bit st.shr s) in
+          let invals requester =
+            List.map
+              (fun n -> { src = home; dst = n; seq = 0; msg = MInval requester })
+              others
+          in
+          let grant =
+            post
+              { st with dir = Excl; own = s; shr = 0 }
+              (reply (MDataE (st.mem, List.length others, tid)) @ invals s)
+          in
+          let delegations =
+            if params.enable_delegation then begin
+              let sharers = rem_bit st.shr s in
+              let base = { st with dir = Dele; own = s; shr = 0 } in
+              if params.bug = Some Skip_invals_on_delegate then
+                [ post base (reply (MDelegate (sharers, st.mem, 0, tid))) ]
+              else
+                [
+                  post base
+                    (reply (MDelegate (sharers, st.mem, List.length others, tid)) @ invals s);
+                ]
+            end
+            else []
+          in
+          grant :: delegations
+      | (Intervene | Transfer | Recall) as answer ->
+          let dir : Directory.dstate =
+            match kind with Load -> Busy_shared | Store -> Busy_excl
+          in
+          let msg =
+            match answer with
+            | Intervene -> MIntv (s, tid)
+            | Transfer -> MTransfer (s, tid)
+            | _ -> MRecall
+          in
+          [
+            post
+              { st with dir; req = s; req_tid = tid }
+              [ { src = home; dst = st.own; seq = 0; msg } ];
+          ]
+      | Forward ->
+          [
+            post st
+              [
+                { src = home; dst = st.own; seq = 0; msg = MFwdS (s, tid) };
+                { src = home; dst = s; seq = 0; msg = MNewHome st.own };
+              ];
+          ])
+  | MWb v, Excl when st.own = s ->
+      [ post { st with mem = v; dir = Unowned; own = -1 } (reply MWbAck) ]
+  | MWb v, Busy_shared when st.own = s ->
       [
         post
-          { st with mem = v; dir = DS; shr = bit st.req; own = -1 }
+          { st with mem = v; dir = Shared_s; shr = bit st.req; own = -1 }
           (reply MWbAck
           @ [ { src = home; dst = st.req; seq = 0; msg = MDataS (v, st.req_tid) } ]);
       ]
-  | MWb v, DBe when st.own = s ->
+  | MWb v, Busy_excl when st.own = s ->
       (* grant the waiting writer by re-running its request *)
       [
         post
-          { st with mem = v; dir = DU; own = -1 }
+          { st with mem = v; dir = Unowned; own = -1 }
           (reply MWbAck
           @ [ { src = st.req; dst = home; seq = 0; msg = MGetX st.req_tid } ]);
       ]
-  | MWb v, DBe when st.req = s ->
+  | MWb v, Busy_excl when st.req = s ->
       (* the new owner wrote back before its Transfer_ack reached us: the
          ownership transfer evidently completed, so the transaction ends
          here (the late Transfer_ack is dropped) *)
-      [ post { st with mem = v; dir = DU; own = -1 } (reply MWbAck) ]
+      [ post { st with mem = v; dir = Unowned; own = -1 } (reply MWbAck) ]
   | MWb _, _ -> [ post st (reply MWbAck) ] (* stale, but always acknowledged *)
-  | MSwb (v, new_sharer), DBs when st.own = s ->
-      [ { st with mem = v; dir = DS; shr = add_bit (bit s) new_sharer; own = -1 } ]
+  | MSwb (v, new_sharer), Busy_shared when st.own = s ->
+      [ { st with mem = v; dir = Shared_s; shr = add_bit (bit s) new_sharer; own = -1 } ]
   | MSwb _, _ -> [ st ]
-  | MTack new_owner, DBe when st.own = s -> [ { st with dir = DE; own = new_owner } ]
+  | MTack new_owner, Busy_excl when st.own = s -> [ { st with dir = Excl; own = new_owner } ]
   | MTack _, _ -> [ st ]
-  | MUndele (sharers, value, pending), (DD | DBe) when st.own = s ->
+  | MUndele (sharers, value, pending), (Dele | Busy_excl) when st.own = s ->
       let st = match value with Some v -> { st with mem = v } | None -> st in
-      let stored = if st.dir = DBe then Some (st.req, st.req_tid) else None in
+      let stored = if st.dir = Busy_excl then Some (st.req, st.req_tid) else None in
       let st =
-        if sharers = 0 then { st with dir = DU; own = -1; shr = 0 }
-        else { st with dir = DS; own = -1; shr = sharers }
+        if sharers = 0 then { st with dir = Unowned; own = -1; shr = 0 }
+        else { st with dir = Shared_s; own = -1; shr = sharers }
       in
       let requeue (requester, tid) =
         { src = requester; dst = home; seq = 0; msg = MGetX tid }
@@ -642,9 +634,9 @@ let serve_read params st n ~requester ~tid =
   let node = st.ns.(n) in
   match node.prod with
   | None ->
-      [ post st [ { src = n; dst = requester; seq = 0; msg = MNack (NNotHome, tid) } ] ]
+      [ post st [ { src = n; dst = requester; seq = 0; msg = MNack (Not_home, tid) } ] ]
   | Some { pst = PB; _ } ->
-      [ post st [ { src = n; dst = requester; seq = 0; msg = MNack (NBusy, tid) } ] ]
+      [ post st [ { src = n; dst = requester; seq = 0; msg = MNack (Busy, tid) } ] ]
   | Some ({ pst = PEx; _ } as _p) ->
       let st = downgrade_push params st n ~exclude:(Some requester) in
       let node = st.ns.(n) in
@@ -664,7 +656,7 @@ let serve_read params st n ~requester ~tid =
           in
           [ post st [ { src = n; dst = requester; seq = 0; msg = MDataS (v, tid) } ] ]
       | None ->
-          [ post st [ { src = n; dst = requester; seq = 0; msg = MNack (NNotHome, tid) } ] ])
+          [ post st [ { src = n; dst = requester; seq = 0; msg = MNack (Not_home, tid) } ] ])
 
 let resend_request st n =
   let node = st.ns.(n) in
@@ -751,7 +743,7 @@ let cache_handle params st ~src n msg =
       match node.pend with
       | Some p when p.tid = tid ->
           let st =
-            if reason = NNotHome then with_node st n (fun node -> { node with hint = None })
+            if reason = Not_home then with_node st n (fun node -> { node with hint = None })
             else st
           in
           [ resend_request st n ]
@@ -797,10 +789,10 @@ let cache_handle params st ~src n msg =
   | MGetX tid -> (
       match node.prod with
       | None ->
-          [ post st [ { src = n; dst = src; seq = 0; msg = MNack (NNotHome, tid) } ] ]
+          [ post st [ { src = n; dst = src; seq = 0; msg = MNack (Not_home, tid) } ] ]
       | Some p ->
           if p.pst = PB || fence_needed p then
-            [ post st [ { src = n; dst = src; seq = 0; msg = MNack (NBusy, tid) } ] ]
+            [ post st [ { src = n; dst = src; seq = 0; msg = MNack (Busy, tid) } ] ]
           else [ undelegate st n ~pending:(Some (src, tid)) ])
   | MRecall -> (
       match node.prod with
@@ -1081,7 +1073,7 @@ let single_writer st =
   | [] -> true
   | [ n ] ->
       (match st.dir with
-      | (DE | DD | DBs | DBe) when st.own = n -> true
+      | (Excl | Dele | Busy_shared | Busy_excl) when st.own = n -> true
       | _ -> in_flight st (fun p -> p.msg = MTack n))
   | _ :: _ :: _ -> false
 
@@ -1104,10 +1096,10 @@ let directory_consistent st =
     escape
     ||
     match st.dir with
-    | DU -> false
-    | DS -> mem_bit st.shr n
-    | DE | DBs | DBe -> n = st.own || n = st.req || producer_covers st.own
-    | DD -> (
+    | Unowned -> false
+    | Shared_s -> mem_bit st.shr n
+    | Excl | Busy_shared | Busy_excl -> n = st.own || n = st.req || producer_covers st.own
+    | Dele -> (
         n = st.own
         ||
         match st.ns.(st.own).prod with
@@ -1129,7 +1121,7 @@ let directory_consistent st =
 
 let delegation_consistent st =
   let dir_side =
-    st.dir <> DD
+    st.dir <> Dele
     || st.ns.(st.own).prod <> None
     || in_flight st (fun p ->
            match p.msg with
@@ -1141,7 +1133,7 @@ let delegation_consistent st =
     Array.for_all Fun.id
       (Array.mapi
          (fun n node ->
-           node.prod = None || ((st.dir = DD || st.dir = DBe) && st.own = n))
+           node.prod = None || ((st.dir = Dele || st.dir = Busy_excl) && st.own = n))
          st.ns)
   in
   dir_side && node_side
@@ -1165,7 +1157,7 @@ let initial_state params =
               last_seen = 0;
               wbp = false;
             });
-      dir = DU;
+      dir = Unowned;
       shr = 0;
       own = -1;
       req = -1;
@@ -1207,6 +1199,14 @@ let invariants_list =
     ("delegation consistency", delegation_consistent);
   ]
 
+let dir_name : Directory.dstate -> string = function
+  | Unowned -> "U"
+  | Shared_s -> "S"
+  | Excl -> "E"
+  | Busy_shared -> "Bs"
+  | Busy_excl -> "Be"
+  | Dele -> "D"
+
 let pp_state ppf st =
   let cache_str node =
     match node.cache with
@@ -1215,14 +1215,7 @@ let pp_state ppf st =
     | CE v -> Printf.sprintf "E%d" v
   in
   Format.fprintf ppf "@[<v>dir=%s own=%d req=%d shr=%x mem=%d nextv=%d@,"
-    (match st.dir with
-    | DU -> "U"
-    | DS -> "S"
-    | DE -> "E"
-    | DBs -> "Bs"
-    | DBe -> "Be"
-    | DD -> "D")
-    st.own st.req st.shr st.mem st.nextv;
+    (dir_name st.dir) st.own st.req st.shr st.mem st.nextv;
   Array.iteri
     (fun n node ->
       Format.fprintf ppf "n%d: cache=%s rac=%s prod=%s pend=%s done=%d seen=%d@," n
@@ -1385,7 +1378,7 @@ let enc_msg w p = function
       byte w (rn p o)
   | MNack (r, tid) ->
       byte w 11;
-      byte w (match r with NBusy -> 0 | NNotHome -> 1 | NPending -> 2);
+      byte w (match r with Busy -> 0 | Not_home -> 1 | Pending -> 2);
       byte w tid
   | MDelegate (sharers, v, a, tid) ->
       byte w 12;
@@ -1469,7 +1462,7 @@ let enc_line w p st =
     byte w n.last_seen;
     enc_bool w n.wbp
   done;
-  byte w (match st.dir with DU -> 0 | DS -> 1 | DE -> 2 | DBs -> 3 | DBe -> 4 | DD -> 5);
+  byte w (match st.dir with Unowned -> 0 | Shared_s -> 1 | Excl -> 2 | Busy_shared -> 3 | Busy_excl -> 4 | Dele -> 5);
   byte w (rmask p st.shr);
   byte w (rn p st.own);
   byte w (rn p st.req);
@@ -1685,9 +1678,6 @@ module Sym = struct
      [encode a = encode b] must imply [semantic_sig a = semantic_sig b]. *)
   let semantic_sig mst =
     let line_sig st =
-      let dir =
-        match st.dir with DU -> "U" | DS -> "S" | DE -> "E" | DBs -> "Bs" | DBe -> "Be" | DD -> "D"
-      in
       let popcount mask = List.length (bits_list mask) in
       let per_node =
         Array.to_list
@@ -1702,7 +1692,7 @@ module Sym = struct
              st.ns)
         |> List.sort String.compare
       in
-      Printf.sprintf "%s|%d|%d|%d|%d|%s" dir st.mem st.nextv (popcount st.shr)
+      Printf.sprintf "%s|%d|%d|%d|%d|%s" (dir_name st.dir) st.mem st.nextv (popcount st.shr)
         (List.length st.net)
         (String.concat "," per_node)
     in
@@ -1738,16 +1728,19 @@ module Step = struct
 
   let net_size st = List.length st.net
 
-  let dir_stable st = match st.dir with DBs | DBe -> false | DU | DS | DE | DD -> true
+  let dir_stable st =
+    match st.dir with
+    | Busy_shared | Busy_excl -> false
+    | Unowned | Shared_s | Excl | Dele -> true
 
   let final_value st =
     match st.dir with
-    | DU | DS -> Some st.mem
-    | DE | DBs | DBe -> (
+    | Unowned | Shared_s -> Some st.mem
+    | Excl | Busy_shared | Busy_excl -> (
         if st.own < 0 then None
         else
           match st.ns.(st.own).cache with CE v | CS v -> Some v | CI -> None)
-    | DD -> (
+    | Dele -> (
         let node = st.ns.(st.own) in
         match node.cache with CE v | CS v -> Some v | CI -> node.rac)
 

@@ -7,7 +7,10 @@
     nondeterministically chosen loads/stores per line, an unordered
     network, and nondeterministic cache evictions, delayed interventions,
     capacity undelegations, and hint evictions.  This corresponds to the
-    paper's extension of the DASH Murphi model (§2.5).
+    paper's extension of the DASH Murphi model (§2.5).  The home's answer
+    to a request is {!Pcc_core.Directory_rules.request}, the table the
+    simulator's node reads; where that answer is "grant exclusive or
+    delegate", the model explores both.
 
     Checked invariants (instantiated per line, prefixed ["L<l>:"] when
     [lines > 1]):

@@ -2,11 +2,11 @@
 
    The hot-path work (bench/micro.ml) holds minor-heap allocation to a
    few hundred words per committed processor operation; an accidental
-   closure, boxed option, or list append in the event loop shows up here
-   as an order-of-magnitude jump.  Budgets are deliberately loose (~2x
-   the measured value; 511 words per commit on the MSI snooping machine)
-   so they only trip on real regressions, never on GC accounting
-   noise. *)
+   closure, boxed option, or list append in the event loop shows up here.
+   The runs are deterministic, so the machine budgets sit at about 1.25x
+   the measured value (words per commit, 8 nodes, em3d at scale 0.1):
+   base 213.7 -> 270, full 221.8 -> 280, msi 437.8 -> 550, hardened
+   404.5 -> 510. *)
 
 open Pcc_core
 
@@ -92,6 +92,27 @@ let check_flight_record () =
        always-on recorder must stay allocation-free"
       words events
 
+(* The home's rule lookup runs on every request a home serves; it
+   returns constant constructors, so a sweep over the whole table must
+   not touch the minor heap. *)
+let check_directory_rules () =
+  let states = Directory.[| Unowned; Shared_s; Excl; Busy_shared; Busy_excl; Dele |] in
+  let grants = ref 0 in
+  Gc.full_major ();
+  let before = Gc.minor_words () in
+  for i = 0 to 99_999 do
+    let kind = if i land 1 = 0 then Types.Load else Types.Store in
+    match Directory_rules.request kind states.(i mod 6) ~owner:(i land 2 = 0) with
+    | Grant_shared | Grant_exclusive | Invalidate_sharers -> incr grants
+    | Intervene | Transfer | Recall | Forward | Nack _ -> ()
+  done;
+  let words = Gc.minor_words () -. before in
+  if !grants = 0 || words > 256.0 then
+    Alcotest.failf
+      "directory rule lookup allocated %.0f minor words over 100000 lookups (%d \
+       grants) — it must return constant answers"
+      words !grants
+
 (* The streaming feed path: a run fed by Workload.stream — generator
    refills or binary-trace chunk decoding included — must hold the same
    order of per-commit allocation as the materialized path, or 10^8-event
@@ -144,17 +165,17 @@ let suite =
   [
     Alcotest.test_case "flight record path allocation-free" `Quick check_flight_record;
     Alcotest.test_case "base protocol under budget" `Quick
-      (check "base" 500.0 (Config.base ~nodes ()));
+      (check "base" 270.0 (Config.base ~nodes ()));
     Alcotest.test_case "model checker under budget" `Quick
       (check_checker "checker" 665.0 adaptive_model);
     Alcotest.test_case "snooping model checker under budget" `Quick
       (check_checker "snoop checker" 665.0 snoop_model);
     Alcotest.test_case "msi snooping machine under budget" `Quick
-      (check "msi" 1000.0 (Config.snoop ~nodes Types.Msi ()));
+      (check "msi" 550.0 (Config.snoop ~nodes Types.Msi ()));
     Alcotest.test_case "full adaptive machine under budget" `Quick
-      (check "full" 500.0 (Config.small_full ~nodes ()));
+      (check "full" 280.0 (Config.small_full ~nodes ()));
     Alcotest.test_case "hardened machine under budget" `Quick
-      (check "hardened" 1400.0
+      (check "hardened" 510.0
          (Config.with_faults
             (Config.small_full ~nodes ())
             (Pcc_interconnect.Fault.drops ~seed:7)));
@@ -162,4 +183,5 @@ let suite =
       (check_streaming "kv generator" 500.0 generator_workload);
     Alcotest.test_case "streaming trace feed under budget" `Quick
       (check_streaming "trace replay" 500.0 trace_workload);
+    Alcotest.test_case "directory rule lookup allocation-free" `Quick check_directory_rules;
   ]

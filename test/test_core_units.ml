@@ -243,6 +243,79 @@ let test_directory_reset_predictor () =
   let b = Directory.access d line in
   Alcotest.(check (option int)) "reset" None (Predictor.producer b.Directory.predictor)
 
+(* The home's answer to every (operation, directory state, requester is
+   the owner) triple, one row each, with the paper section a granting row
+   implements: an edit of one decision in Directory_rules is a one-row
+   diff here. *)
+let test_directory_rules () =
+  let busy = Directory_rules.Nack Message.Busy
+  and pending = Directory_rules.Nack Message.Pending in
+  let rows :
+      (Types.op_kind * Directory.dstate * bool * Directory_rules.answer * string) list =
+    [
+      (* op, state, owner, answer, why *)
+      (Load, Unowned, false, Grant_shared, "§2.1");
+      (Load, Unowned, true, Grant_shared, "§2.1");
+      (Load, Shared_s, false, Grant_shared, "§2.1");
+      (Load, Shared_s, true, Grant_shared, "§2.1");
+      (Load, Excl, false, Intervene, "§2.1, Fig. 1");
+      (Load, Excl, true, pending, "owner's writeback in flight");
+      (Load, Busy_shared, false, busy, "transaction in flight");
+      (Load, Busy_shared, true, busy, "transaction in flight");
+      (Load, Busy_excl, false, busy, "transaction in flight");
+      (Load, Busy_excl, true, busy, "transaction in flight");
+      (Load, Dele, false, Forward, "§2.3.2, Fig. 4b");
+      (Load, Dele, true, busy, "producer's own request");
+      (Store, Unowned, false, Grant_exclusive, "§2.1");
+      (Store, Unowned, true, Grant_exclusive, "§2.1");
+      (Store, Shared_s, false, Invalidate_sharers, "§2.3.1, Fig. 4a");
+      (Store, Shared_s, true, Invalidate_sharers, "§2.3.1, Fig. 4a");
+      (Store, Excl, false, Transfer, "§2.1");
+      (Store, Excl, true, pending, "owner's writeback in flight");
+      (Store, Busy_shared, false, busy, "transaction in flight");
+      (Store, Busy_shared, true, busy, "transaction in flight");
+      (Store, Busy_excl, false, busy, "transaction in flight");
+      (Store, Busy_excl, true, busy, "transaction in flight");
+      (Store, Dele, false, Recall, "§2.3.3");
+      (Store, Dele, true, busy, "producer's own request");
+    ]
+  in
+  let answer_name : Directory_rules.answer -> string = function
+    | Grant_shared -> "grant-shared"
+    | Grant_exclusive -> "grant-exclusive"
+    | Invalidate_sharers -> "invalidate-sharers"
+    | Intervene -> "intervene"
+    | Transfer -> "transfer"
+    | Recall -> "recall"
+    | Forward -> "forward"
+    | Nack Busy -> "nack-busy"
+    | Nack Pending -> "nack-pending"
+    | Nack Not_home -> "nack-not-home"
+  in
+  let state_name : Directory.dstate -> string = function
+    | Unowned -> "Unowned"
+    | Shared_s -> "Shared_s"
+    | Excl -> "Excl"
+    | Busy_shared -> "Busy_shared"
+    | Busy_excl -> "Busy_excl"
+    | Dele -> "Dele"
+  in
+  Alcotest.(check int) "2 ops x 6 states x owner or not, once each" 24
+    (List.length
+       (List.sort_uniq compare (List.map (fun (k, s, o, _, _) -> (k, s, o)) rows)));
+  List.iter
+    (fun (kind, state, owner, expected, why) ->
+      let label =
+        Printf.sprintf "%s at %s, %s (%s)"
+          (match kind with Types.Load -> "load" | Types.Store -> "store")
+          (state_name state)
+          (if owner then "owner" else "other")
+          why
+      in
+      Alcotest.(check string) label (answer_name expected)
+        (answer_name (Directory_rules.request kind state ~owner)))
+    rows
+
 (* ---------------- Memory check ---------------- *)
 
 let test_memcheck_accepts_current () =
@@ -423,4 +496,5 @@ let suite =
     Alcotest.test_case "config hop latency" `Quick test_config_hop_latency;
     Alcotest.test_case "config validate" `Quick test_config_validate;
     Alcotest.test_case "hw cost (§3.3.1)" `Quick test_hw_cost_small_config;
+    Alcotest.test_case "directory rules table" `Quick test_directory_rules;
   ]
